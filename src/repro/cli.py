@@ -553,7 +553,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     city_parser = subparsers.add_parser(
         "city", help="run a city-scale sharded multicell simulation "
-                     "in lockstep epochs over the engine pool")
+                     "in lockstep epochs")
     from repro.shard.cli import configure_parser as _configure_city
     _configure_city(city_parser)
     city_parser.set_defaults(handler=_command_city)

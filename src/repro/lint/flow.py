@@ -44,8 +44,8 @@ The same project index also replaces v1's curated scoping lists:
   module list.
 * PAR004 flags mutation of module-level state inside functions
   reachable from process-pool entry points (``Point`` task functions,
-  shard replay, fuzz case execution) -- mutations via ``global`` are
-  PAR001's jurisdiction and are left to it.
+  the long-lived shard worker, fuzz case execution) -- mutations via
+  ``global`` are PAR001's jurisdiction and are left to it.
 """
 
 from __future__ import annotations
@@ -219,10 +219,14 @@ HOT_ROOT_PATTERNS: Tuple[str, ...] = (
     "repro.phy.channel.ForwardChannel._complete",
 )
 
-#: PAR004 roots beyond auto-discovered ``Point(fn=...)`` targets.
+#: PAR004 roots beyond auto-discovered ``Point(fn=...)`` targets.  A
+#: shard worker lives for the whole city run, so module state it
+#: mutates persists across epochs -- and differs from the serial run,
+#: where every shard shares one copy.
 PAR_ROOT_PATTERNS: Tuple[str, ...] = (
     "repro.fuzz.runner.run_fuzz_case",
     "repro.shard.shard.ShardSim.*",
+    "repro.shard.worker.shard_worker",
 )
 
 #: Methods that mutate a container in place (PAR004).
@@ -1026,9 +1030,10 @@ class FlowEngine:
                     col=getattr(node, "col_offset", 0),
                     message=f"module-level state {name!r} mutated "
                             f"on the process-pool path (function "
-                            f"reachable from a Point task); each "
-                            f"worker mutates a private copy -- pass "
-                            f"state through the task config",
+                            f"reachable from a Point task or a shard "
+                            f"worker); each worker mutates a private "
+                            f"copy -- pass state through the task "
+                            f"config",
                     text=text))
         return findings
 

@@ -115,8 +115,8 @@ _RULE_LIST: Tuple[Rule, ...] = (
         summary="module-level state mutated inside a function "
                 "reachable from a process-pool task",
         rationale="The v2 call graph traces every function reachable "
-                  "from a Point task (engine sweeps, shard epochs, "
-                  "fuzz cases). Mutating module-level containers "
+                  "from a Point task (engine sweeps, fuzz cases) or a "
+                  "shard worker. Mutating module-level containers "
                   "there writes to a per-worker copy: results come to "
                   "depend on which process ran which point. Pass "
                   "state through the task config or return it in the "

@@ -1,10 +1,11 @@
 """City-scale sharded simulation: epoch-synchronized cell shards.
 
 Partitions a grid of OSU-MAC cells into shard groups, runs each shard
-on its own simulator (serially, or as engine points in the process
-pool), and advances the city in lockstep epochs with deterministic
-cross-shard envelopes at every barrier.  See ``docs/SCALING.md`` for
-the model and the determinism contract.
+on its own simulator (all in one process, or spread over long-lived
+worker processes that keep their shards across epochs), and advances
+the city in lockstep epochs with deterministic cross-shard envelopes at
+every barrier.  See ``docs/SCALING.md`` for the model and the
+determinism contract.
 """
 
 from repro.shard.config import (
@@ -22,7 +23,7 @@ from repro.shard.coordinator import (
     run_city,
 )
 from repro.shard.mobility import MobilityEvent, build_schedule
-from repro.shard.shard import ShardSim, report_digest, shard_epoch_task
+from repro.shard.shard import ShardSim, report_digest
 
 __all__ = [
     "EIN_CELL_STRIDE",
@@ -39,5 +40,4 @@ __all__ = [
     "epoch_digest",
     "report_digest",
     "run_city",
-    "shard_epoch_task",
 ]

@@ -1,4 +1,4 @@
-"""``repro city``: run a sharded city on the engine pool.
+"""``repro city``: run a sharded city, optionally over worker processes.
 
 Examples::
 
@@ -53,16 +53,14 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                              "multipliers, e.g. 0.25,1,3,3,1,0.25")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--jobs", type=int, default=1,
-                        help="1 = serial in-process shards, N >= 2 = "
-                             "engine process pool")
+                        help="1 = all shards in this process; N >= 2 = "
+                             "min(N, shards) worker processes that keep "
+                             "their shards across epochs")
     parser.add_argument("--resume", action="store_true",
                         help="resume a killed run from its epoch "
                              "journal (verifying the committed prefix)")
     parser.add_argument("--no-checkpoint", action="store_true",
                         help="skip the per-epoch city journal")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the engine result cache for pool "
-                             "epochs")
     parser.add_argument("--metrics", metavar="PATH", default=None,
                         help="write osu_city_* metric families to PATH "
                              "in Prometheus text format")
@@ -134,9 +132,7 @@ def run(args: argparse.Namespace) -> int:
 
         default_registry().enable()
     result = run_city(
-        config, jobs=args.jobs,
-        cache=False if args.no_cache else None,
-        checkpoint=not args.no_checkpoint,
+        config, jobs=args.jobs, checkpoint=not args.no_checkpoint,
         resume=args.resume)
     if args.metrics:
         from repro.obs.export import write_prometheus

@@ -8,9 +8,9 @@ cells on its own :class:`~repro.sim.core.Simulator` and the whole city
 advances in lockstep **epochs** of ``cycles_per_epoch`` MAC cycles
 (see :mod:`repro.shard.coordinator`).
 
-Everything here is a pure function of the config, because both the
-serial coordinator and the pool's replaying shard tasks must derive the
-exact same layout: which cells a shard owns, which shard owns a cell,
+Everything here is a pure function of the config, because the
+coordinator and every shard worker process must derive the exact same
+layout: which cells a shard owns, which shard owns a cell,
 every subscriber's EIN and home cell, and the grid adjacency the
 mobility model walks over.
 """
@@ -221,7 +221,7 @@ class CityConfig:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """A JSON round-trippable projection (engine tasks, journals)."""
+        """A JSON round-trippable projection; :meth:`digest` hashes it."""
         out = dataclasses.asdict(self)
         out["cell"] = dataclasses.asdict(self.cell)
         out["cell"]["faults"] = []

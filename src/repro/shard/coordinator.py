@@ -8,42 +8,48 @@ own directory, re-addresses in-flight messages against that directory
 epoch's inbound sets: handoffs broadcast to every shard (they double as
 directory updates), messages to the shard owning the destination cell.
 
-Two execution paths produce bit-identical results:
+Every shard lives for the whole run and is stepped by one function,
+:func:`~repro.shard.worker.step_shards`.  With ``min(jobs, shards)``
+equal to 1 the shards live in this process; otherwise they live in that
+many long-lived worker processes (:class:`ShardWorkers`; shard ``s`` on
+worker ``s % workers``), which receive only their shards' inbound
+envelopes at each barrier and send back the epoch reports.
 
-* ``jobs <= 1`` -- one live :class:`~repro.shard.shard.ShardSim` per
-  shard in this process, stepped serially;
-* ``jobs >= 2`` -- each (shard, epoch) is an engine
-  :class:`~repro.engine.spec.Point` running
-  :func:`~repro.shard.shard.shard_epoch_task` in the process pool,
-  which replays the shard's deterministic history up to that epoch.
+A worker that dies is respawned within the barrier: it replays its
+shards' recorded inbound history and must reproduce every report
+digest it had already returned (else :class:`CityIntegrityError`)
+before it runs the current epoch.  A second death in the same epoch
+aborts the run.
 
 Every committed barrier is appended to a :class:`CityJournal`.  A
 killed run restarted with ``resume=True`` replays deterministically
-from epoch 0 (live shards cannot be unpickled mid-flight; with the
-engine result cache enabled, pool points short-circuit instead of
-re-simulating) and *verifies* each recomputed epoch digest against the
-journaled one before continuing past the crash point -- so a resumed
-run either bit-matches the original or fails loudly.
+from epoch 0 (live shards cannot be unpickled mid-flight) and
+*verifies* each recomputed epoch digest against the journaled one
+before continuing past the crash point -- so a resumed run either
+bit-matches the original or fails loudly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.engine.spec import Point, RunSpec, execute
 from repro.shard.config import CityConfig
 from repro.shard.envelopes import HANDOFF, canonical_order
 from repro.shard.journal import CityJournal
-from repro.shard.shard import ShardSim, report_digest, shard_epoch_task
+from repro.shard.shard import ShardSim, report_digest
+from repro.shard.worker import Envelopes, Reply, shard_worker, step_shards
 
 
 class CityIntegrityError(RuntimeError):
-    """A resumed epoch did not reproduce its journaled digest."""
+    """A replayed epoch did not reproduce its recorded digest."""
 
 
 @dataclass
@@ -99,16 +105,127 @@ def aggregate_counters(reports: List[Dict[str, Any]]
     return total
 
 
+class ShardWorkers:
+    """Long-lived worker processes that hold the city's shards.
+
+    Shard ``s`` lives on worker ``s % count``.  Workers run the default
+    :mod:`multiprocessing` context (the engine pool's) and exit when
+    their pipe reaches EOF, so a killed coordinator leaves no orphans;
+    :meth:`close` reaps them, which also adds their CPU time to this
+    process's ``RUSAGE_CHILDREN``.
+    """
+
+    def __init__(self, config: CityConfig, count: int):
+        self.config = config
+        self.count = count
+        self._processes: List[BaseProcess] = []
+        self._pipes: List[Connection] = []
+        #: Per epoch: every shard's report digest, which a respawned
+        #: worker's replay must reproduce.
+        self._digests: List[List[str]] = []
+        for worker in range(count):
+            process, pipe = self._start(worker)
+            self._processes.append(process)
+            self._pipes.append(pipe)
+
+    def _shard_ids(self, worker: int) -> List[int]:
+        return list(range(worker, self.config.num_shards, self.count))
+
+    def _start(self, worker: int) -> Tuple[BaseProcess, Connection]:
+        pipe, child = multiprocessing.Pipe()
+        inherited = [other for other in self._pipes if not other.closed]
+        process = multiprocessing.Process(
+            target=shard_worker,
+            args=(child, inherited + [pipe], self.config,
+                  self._shard_ids(worker)),
+            name=f"city-shard-worker-{worker}", daemon=True)
+        process.start()
+        # Once only the worker holds this end, EOF on ``pipe`` means the
+        # worker is gone.
+        child.close()
+        return process, pipe
+
+    def _send(self, worker: int, first: int, epoch: int,
+              history: List[List[Envelopes]]) -> None:
+        """Ask ``worker`` to step its shards through epochs
+        ``first..epoch``, verifying every one before ``epoch``."""
+        shard_ids = self._shard_ids(worker)
+        request = (
+            first,
+            [[history[shard_id][k] for shard_id in shard_ids]
+             for k in range(first, epoch + 1)],
+            [[self._digests[k][shard_id] for shard_id in shard_ids]
+             for k in range(first, epoch)])
+        try:
+            self._pipes[worker].send(request)
+        except OSError:
+            pass  # the worker is gone; the receive sees EOF
+
+    def _receive(self, worker: int) -> Optional[Reply]:
+        """The worker's reply, or ``None`` if it died."""
+        try:
+            return self._pipes[worker].recv()
+        except (EOFError, OSError):
+            return None
+
+    def _respawn(self, worker: int) -> None:
+        self._pipes[worker].close()
+        dead = self._processes[worker]
+        dead.kill()
+        dead.join()
+        self._processes[worker], self._pipes[worker] = self._start(worker)
+
+    def step(self, epoch: int, history: List[List[Envelopes]]
+             ) -> Tuple[List[Dict[str, Any]], List[float]]:
+        """Run ``epoch`` on every shard; ``history[s][k]`` is shard
+        ``s``'s inbound envelope set at epoch ``k``.  Returns the
+        reports and per-shard seconds in shard order."""
+        for worker in range(self.count):
+            self._send(worker, epoch, epoch, history)
+        reports: List[Dict[str, Any]] = [{}] * self.config.num_shards
+        seconds = [0.0] * self.config.num_shards
+        for worker in range(self.count):
+            reply = self._receive(worker)
+            if reply is None:
+                self._respawn(worker)
+                self._send(worker, 0, epoch, history)
+                reply = self._receive(worker)
+            if reply is None:
+                raise RuntimeError(
+                    f"shard worker {worker} (shards "
+                    f"{self._shard_ids(worker)}) died twice in epoch "
+                    f"{epoch}; the journal is kept for --resume")
+            if isinstance(reply, str):
+                raise CityIntegrityError(reply)
+            worker_reports, worker_seconds = reply
+            for shard_id, report, spent in zip(self._shard_ids(worker),
+                                               worker_reports,
+                                               worker_seconds):
+                reports[shard_id] = report
+                seconds[shard_id] = spent
+        self._digests.append([report["digest"] for report in reports])
+        return reports, seconds
+
+    def close(self, kill: bool = False) -> None:
+        """Close every pipe and reap every worker.  Idle workers exit on
+        EOF; with ``kill`` busy ones are not waited for."""
+        for pipe in self._pipes:
+            pipe.close()
+        for process in self._processes:
+            if kill:
+                process.kill()
+            process.join()
+
+
 class CityCoordinator:
     """Run one sharded city to completion (or resume one)."""
 
     def __init__(self, config: CityConfig, jobs: int = 1,
-                 cache: Any = False, checkpoint: bool = True,
+                 checkpoint: bool = True,
                  journal_root: Optional[str] = None,
                  resume: bool = False):
         self.config = config
         self.jobs = jobs
-        self.cache = cache
         self.checkpoint = checkpoint
         self.journal_root = journal_root
         self.resume = resume
@@ -116,9 +233,8 @@ class CityCoordinator:
             ein: config.home_cell_of_ein(ein)
             for ein in config.all_eins()}
         #: Per shard: the inbound envelope list of every epoch so far.
-        self._history: List[List[List[Dict[str, Any]]]] = [
+        self._history: List[List[Envelopes]] = [
             [] for _ in range(config.num_shards)]
-        self._shards: List[ShardSim] = []
         self._metric_prev: Dict[int, Dict[str, Any]] = {}
 
     # -- barrier merge ------------------------------------------------------
@@ -149,46 +265,6 @@ class CityCoordinator:
                 inbound[config.shard_of_cell(dest_cell)].append(env)
         return [canonical_order(envs) for envs in inbound]
 
-    # -- epoch execution ----------------------------------------------------
-
-    def _run_epoch_live(self, epoch: int):
-        if not self._shards:
-            self._shards = [ShardSim(self.config, shard_id)
-                            for shard_id
-                            in range(self.config.num_shards)]
-        reports = []
-        seconds = []
-        for shard_id, shard in enumerate(self._shards):
-            shard.apply_inbound(epoch, self._history[shard_id][epoch])
-            started = time.perf_counter()
-            reports.append(shard.run_epoch(epoch))
-            seconds.append(time.perf_counter() - started)
-        lag = max(seconds) - min(seconds) if len(seconds) > 1 else 0.0
-        return reports, lag
-
-    def _run_epoch_pool(self, epoch: int):
-        config_dict = self.config.to_dict()
-        points = tuple(
-            Point(fn=shard_epoch_task,
-                  config={"city": config_dict, "shard": shard_id,
-                          "epoch": epoch,
-                          "inbound": self._history[shard_id]},
-                  label={"shard": shard_id, "epoch": epoch})
-            for shard_id in range(self.config.num_shards))
-        spec = RunSpec(
-            name=f"city-{self.config.digest()[:8]}-epoch{epoch}",
-            points=points)
-        result = execute(spec, jobs=self.jobs, cache=self.cache,
-                         resume=self.resume)
-        if result.failures:
-            raise RuntimeError(
-                "city epoch failed: "
-                + json.dumps(result.failure_report()))
-        executed = [s for s in result.stats.point_seconds if s > 0]
-        lag = max(executed) - min(executed) if len(executed) > 1 \
-            else 0.0
-        return list(result.values), lag
-
     # -- the run loop -------------------------------------------------------
 
     def run(self) -> CityResult:
@@ -214,17 +290,29 @@ class CityCoordinator:
         epoch_digests: List[str] = []
         verified = 0
         reports: List[Dict[str, Any]] = []
-        next_inbound: List[List[Dict[str, Any]]] = [
+        next_inbound: List[Envelopes] = [
             [] for _ in range(config.num_shards)]
+        count = min(self.jobs or 1, config.num_shards)
+        workers: Optional[ShardWorkers] = None
+        shards: List[ShardSim] = []
         try:
+            if count > 1:
+                workers = ShardWorkers(config, count)
+            else:
+                shards = [ShardSim(config, shard_id)
+                          for shard_id in range(config.num_shards)]
             for epoch in range(config.epochs):
                 for shard_id in range(config.num_shards):
                     self._history[shard_id].append(
                         next_inbound[shard_id])
-                if self.jobs and self.jobs > 1:
-                    reports, lag = self._run_epoch_pool(epoch)
+                if workers is None:
+                    reports, seconds = step_shards(shards, epoch,
+                                                   next_inbound)
                 else:
-                    reports, lag = self._run_epoch_live(epoch)
+                    reports, seconds = workers.step(epoch,
+                                                    self._history)
+                lag = max(seconds) - min(seconds) \
+                    if len(seconds) > 1 else 0.0
                 digest = epoch_digest(reports)
                 if epoch < len(journaled):
                     committed = journaled[epoch].get("epoch_digest")
@@ -241,9 +329,13 @@ class CityCoordinator:
                 self._publish_metrics(reports, lag)
                 next_inbound = self._merge(reports)
         except BaseException:
+            if workers is not None:
+                workers.close(kill=True)
             if journal is not None:
                 journal.close()  # keep the journal for a resume
             raise
+        if workers is not None:
+            workers.close()
         if journal is not None:
             journal.discard()
         return CityResult(
@@ -324,9 +416,13 @@ def run_city(config: CityConfig, jobs: int = 1, cache: Any = False,
              checkpoint: bool = True,
              journal_root: Optional[str] = None,
              resume: bool = False) -> CityResult:
-    """Build a coordinator and run the city to completion."""
+    """Build a coordinator and run the city to completion.
+
+    ``cache`` is accepted for existing callers and has no effect: city
+    epochs never pass through the engine result cache.
+    """
     coordinator = CityCoordinator(
-        config, jobs=jobs, cache=cache, checkpoint=checkpoint,
+        config, jobs=jobs, checkpoint=checkpoint,
         journal_root=journal_root, resume=resume)
     return coordinator.run()
 
@@ -335,6 +431,7 @@ __all__ = [
     "CityCoordinator",
     "CityIntegrityError",
     "CityResult",
+    "ShardWorkers",
     "aggregate_counters",
     "city_digest",
     "epoch_digest",

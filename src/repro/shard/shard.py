@@ -16,9 +16,10 @@ Every random draw comes from a stream whose name is a pure function of
 (config, subscriber EIN, hop count), never of shard topology or
 wall-clock scheduling.  The epoch report -- census, counters, per-cell
 summaries, outbound envelopes, all canonically ordered -- is digested,
-so the same (config, seed) yields bit-identical digests whether shards
-run serially in one process or replayed in a pool
-(:func:`shard_epoch_task`).
+so the same (config, seed) yields bit-identical digests whether the
+shards share one process or are spread over worker processes
+(:mod:`repro.shard.worker`), and when a respawned worker replays its
+shards' history.
 
 The mobility schedule is shared: every shard schedules *all* of the
 city's transition events and acts only on subscribers it currently
@@ -481,25 +482,3 @@ def report_digest(report: Dict[str, Any]) -> str:
                if key != "digest"}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def shard_epoch_task(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Engine point: replay one shard through epoch ``task['epoch']``.
-
-    The engine pool is stateless between points, so the epoch-k task
-    rebuilds the shard from its config and *replays* epochs 0..k,
-    feeding each epoch the same merged inbound envelopes the coordinator
-    distributed at that barrier.  Replay of a deterministic simulation
-    is the identity, so the returned epoch-k report is bit-identical to
-    the live serial shard's -- that equivalence is exactly what the
-    jobs-1-vs-N digest check in the tests and CI smoke verifies.
-    """
-    city = CityConfig.from_dict(task["city"])
-    shard = ShardSim(city, task["shard"])
-    epoch = task["epoch"]
-    inbound = task["inbound"]
-    report: Dict[str, Any] = {}
-    for k in range(epoch + 1):
-        shard.apply_inbound(k, inbound[k] if k < len(inbound) else [])
-        report = shard.run_epoch(k)
-    return report

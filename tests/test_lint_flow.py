@@ -218,6 +218,28 @@ class TestReachability:
         assert report.findings[0].line == 7
         assert "CACHE" in report.findings[0].message
 
+    def test_par004_shard_worker_is_a_root(self):
+        # No Point references the worker; it is a root by name, and a
+        # helper it calls is in scope through the call graph.
+        fixture = (
+            "src/repro/shard/worker.py",
+            "SEEN = []\n"
+            "\n"
+            "\n"
+            "def note(epoch):\n"
+            "    SEEN.append(epoch)\n"
+            "\n"
+            "\n"
+            "def shard_worker(conn, inherited, city, shard_ids):\n"
+            "    note(conn.recv())\n",
+        )
+        assert rules_of(check_source(*reversed(fixture))) == []
+        report = check_project([fixture])
+        assert rules_of(report) == ["PAR004"]
+        assert report.findings[0].line == 5
+        assert "SEEN" in report.findings[0].message
+        assert "shard worker" in report.findings[0].message
+
     def test_par004_skips_unreachable_mutation(self):
         fixture = (
             "src/repro/engine/warm_cache.py",

@@ -2,11 +2,13 @@
 
 The acceptance property lives here: a sharded city run (16 cells, 2
 shards, mobility enabled) produces a bit-identical city-state digest
-under ``jobs=1`` (live serial shards) and ``jobs=2`` (replaying engine
-pool points), and again after a crash + ``resume=True``.
+under ``jobs=1`` (all shards in this process) and ``jobs=2`` (shards
+in long-lived worker processes), after a crash + ``resume=True``, and
+after a worker is killed and respawned mid-run.
 """
 
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -28,6 +30,7 @@ from repro.shard import (
     demo_config,
     run_city,
 )
+from repro.shard import coordinator as coordinator_module
 from repro.shard.envelopes import (
     canonical_order,
     handoff_envelope,
@@ -54,8 +57,18 @@ def city_config(**overrides) -> CityConfig:
 @pytest.fixture(scope="module")
 def serial_result():
     """One serial run of the acceptance city, shared across tests."""
+    # cache= is a no-op that run_city keeps accepting for old callers.
     return run_city(city_config(), jobs=1, cache=False,
                     checkpoint=False)
+
+
+def assert_reaped(pids):
+    """Every pid was a child of this process and has been waited for:
+    not running, and not a zombie either."""
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 # -- configuration -----------------------------------------------------------
@@ -206,12 +219,14 @@ class TestEnvelopes:
 
 class TestCityDeterminism:
     def test_jobs1_and_jobs2_digests_are_identical(self, serial_result):
-        pooled = run_city(city_config(), jobs=2, cache=False,
-                          checkpoint=False)
+        pooled = run_city(city_config(), jobs=2, checkpoint=False)
         assert pooled.digest == serial_result.digest
         assert pooled.epoch_digests == serial_result.epoch_digests
         assert pooled.counters == serial_result.counters
         assert pooled.directory == serial_result.directory
+        # More jobs than shards: one worker per shard.
+        assert run_city(city_config(), jobs=4,
+                        checkpoint=False).digest == serial_result.digest
 
     def test_the_city_actually_exercises_the_barrier(self, serial_result):
         counters = serial_result.counters
@@ -221,8 +236,7 @@ class TestCityDeterminism:
         assert counters["handoffs_in"] <= counters["handoffs_out"]
 
     def test_different_seed_different_digest(self, serial_result):
-        other = run_city(city_config(seed=8), jobs=1, cache=False,
-                         checkpoint=False)
+        other = run_city(city_config(seed=8), jobs=1, checkpoint=False)
         assert other.digest != serial_result.digest
 
     def test_directory_tracks_every_subscriber(self, serial_result):
@@ -231,37 +245,51 @@ class TestCityDeterminism:
         for cell in serial_result.directory.values():
             assert 0 <= cell < config.num_cells
 
-    def test_single_shard_city_runs(self):
+    def test_single_shard_city_runs(self, monkeypatch):
         config = city_config(rows=2, cols=2, num_shards=1,
                              epochs=2)
-        result = run_city(config, jobs=1, cache=False,
-                          checkpoint=False)
+        result = run_city(config, jobs=1, checkpoint=False)
         assert result.counters["messages_cross_shard"] == 0
         assert result.counters["handoffs_out"] == 0
+
+        def no_workers(*args, **kwargs):
+            raise AssertionError("started workers for a single shard")
+
+        # One shard stays in this process whatever --jobs says.
+        monkeypatch.setattr(coordinator_module, "ShardWorkers",
+                            no_workers)
+        assert run_city(config, jobs=2,
+                        checkpoint=False).digest == result.digest
 
 
 # -- crash + resume ----------------------------------------------------------
 
 
-def crash_after_epochs(config, epochs, journal_root):
+def at_barrier(coordinator, action):
+    """Call ``action(epoch)`` at every barrier merge of ``coordinator``,
+    after the epoch's reports are in and before they are merged."""
+    merge = coordinator._merge
+
+    def merge_after_action(reports):
+        action(reports[0]["epoch"])
+        return merge(reports)
+
+    coordinator._merge = merge_after_action
+
+
+def crash_after_epochs(config, epochs, journal_root, jobs=1):
     """Run a checkpointing city and die at the Nth barrier merge."""
 
     class Crash(Exception):
         pass
 
-    coordinator = CityCoordinator(config, jobs=1, cache=False,
-                                  checkpoint=True,
-                                  journal_root=journal_root)
-    merge = coordinator._merge
-    barriers = {"seen": 0}
-
-    def crashing_merge(reports):
-        barriers["seen"] += 1
-        if barriers["seen"] >= epochs:
+    def crash(epoch):
+        if epoch + 1 >= epochs:
             raise Crash()
-        return merge(reports)
 
-    coordinator._merge = crashing_merge
+    coordinator = CityCoordinator(config, jobs=jobs, checkpoint=True,
+                                  journal_root=journal_root)
+    at_barrier(coordinator, crash)
     with pytest.raises(Crash):
         coordinator.run()
 
@@ -270,15 +298,17 @@ class TestCityResume:
     def test_resume_reproduces_the_digest(self, serial_result,
                                           tmp_path):
         config = city_config()
-        crash_after_epochs(config, 2, str(tmp_path))
-        journal = tmp_path / f"city-{config.digest()[:16]}.jsonl"
-        assert journal.exists(), "crash did not leave a journal"
-        resumed = run_city(config, jobs=1, cache=False,
-                           checkpoint=True,
-                           journal_root=str(tmp_path), resume=True)
-        assert resumed.digest == serial_result.digest
-        assert resumed.verified_epochs == 2
-        assert not journal.exists(), "journal kept after clean finish"
+        for jobs in (1, 2):
+            root = tmp_path / f"jobs{jobs}"
+            crash_after_epochs(config, 2, str(root), jobs=jobs)
+            journal = root / f"city-{config.digest()[:16]}.jsonl"
+            assert journal.exists(), "crash did not leave a journal"
+            resumed = run_city(config, jobs=jobs, checkpoint=True,
+                               journal_root=str(root), resume=True)
+            assert resumed.digest == serial_result.digest
+            assert resumed.verified_epochs == 2
+            assert not journal.exists(), \
+                "journal kept after clean finish"
 
     def test_resume_rejects_a_divergent_journal(self, tmp_path):
         config = city_config()
@@ -290,7 +320,7 @@ class TestCityResume:
         lines[1] = json.dumps(record, sort_keys=True)
         journal.write_text("\n".join(lines) + "\n")
         with pytest.raises(CityIntegrityError):
-            run_city(config, jobs=1, cache=False, checkpoint=True,
+            run_city(config, jobs=1, checkpoint=True,
                      journal_root=str(tmp_path), resume=True)
 
     def test_torn_tail_is_dropped_on_load(self, tmp_path):
@@ -312,16 +342,154 @@ class TestCityResume:
         assert imposter.load() == []
 
 
+# -- shard worker processes ----------------------------------------------------
+
+
+@pytest.fixture
+def worker_pids(monkeypatch):
+    """The pid of every shard worker started while the test runs."""
+    pids = []
+    start = coordinator_module.ShardWorkers._start
+
+    def recording_start(self, worker):
+        process, pipe = start(self, worker)
+        pids.append(process.pid)
+        return process, pipe
+
+    monkeypatch.setattr(coordinator_module.ShardWorkers, "_start",
+                        recording_start)
+    return pids
+
+
+def shard_worker_processes():
+    return [child for child in multiprocessing.active_children()
+            if child.name.startswith("city-shard-worker-")]
+
+
+class TestShardWorkers:
+    def test_workers_are_reaped_after_clean_and_raising_runs(
+            self, worker_pids, tmp_path):
+        run_city(city_config(), jobs=2, checkpoint=False)
+        assert len(worker_pids) == 2
+        assert_reaped(worker_pids)
+        del worker_pids[:]
+        crash_after_epochs(city_config(), 2, str(tmp_path), jobs=2)
+        assert_reaped(worker_pids)
+
+    def test_killed_worker_is_respawned(self, serial_result, worker_pids):
+        """SIGKILL a worker after the epoch-1 barrier: its replacement
+        replays epochs 0-1, then the run ends with the serial digest."""
+        coordinator = CityCoordinator(city_config(), jobs=2,
+                                      checkpoint=False)
+        killed = []
+
+        def kill_one(epoch):
+            if epoch == 1:
+                victim = shard_worker_processes()[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                killed.append(victim.pid)
+
+        at_barrier(coordinator, kill_one)
+        result = coordinator.run()
+        assert result.digest == serial_result.digest
+        assert result.epoch_digests == serial_result.epoch_digests
+        assert len(worker_pids) == 3 and killed[0] in worker_pids
+        assert_reaped(worker_pids)
+
+    def test_divergent_replay_raises(self, worker_pids):
+        config = city_config()
+        coordinator = CityCoordinator(config, jobs=2, checkpoint=False)
+
+        def kill_and_rewrite_history(epoch):
+            if epoch == 1:
+                victim, = [child for child in shard_worker_processes()
+                           if child.name.endswith("-0")]
+                os.kill(victim.pid, signal.SIGKILL)
+                # Shard 0 lives on worker 0; its replay now sees an
+                # epoch-0 message the original run never had.
+                coordinator._history[0][0].append(message_envelope(
+                    dest_ein=config.data_ein(0, 0), dest_cell=0,
+                    message_id=1, size_bytes=100, created_at=0.0,
+                    src_cell=1, sent_at=0.0))
+
+        at_barrier(coordinator, kill_and_rewrite_history)
+        with pytest.raises(CityIntegrityError,
+                           match="shard 0 replayed epoch 0"):
+            coordinator.run()
+        assert_reaped(worker_pids)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched method reaches workers by "
+                               "fork only")
+    def test_second_death_in_an_epoch_keeps_the_journal(
+            self, serial_result, worker_pids, tmp_path, monkeypatch):
+        config = city_config()
+        run_epoch = ShardSim.run_epoch
+        coordinator_pid = os.getpid()
+
+        def dying_run_epoch(shard, epoch):
+            if epoch == 1 and os.getpid() != coordinator_pid:
+                os._exit(1)
+            return run_epoch(shard, epoch)
+
+        monkeypatch.setattr(ShardSim, "run_epoch", dying_run_epoch)
+        with pytest.raises(RuntimeError, match="died twice in epoch 1"):
+            run_city(config, jobs=2, checkpoint=True,
+                     journal_root=str(tmp_path))
+        assert_reaped(worker_pids)
+        monkeypatch.setattr(ShardSim, "run_epoch", run_epoch)
+        resumed = run_city(config, jobs=2, checkpoint=True,
+                           journal_root=str(tmp_path), resume=True)
+        assert resumed.verified_epochs == 1
+        assert resumed.digest == serial_result.digest
+
+
+def running(pid):
+    """Whether ``pid`` runs (a zombie does not), from /proc."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            stat = handle.read()
+    except OSError:
+        return False
+    return stat[stat.rindex(b")") + 2:].split()[0] != b"Z"
+
+
+def running_descendants(pid):
+    """Running processes below ``pid``: the shard workers, and under
+    the forkserver start method also the server they fork from."""
+    parents = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat", "rb") as handle:
+                    stat = handle.read()
+            except OSError:
+                continue
+            parents[int(entry)] = int(stat[stat.rindex(b")") + 2:]
+                                      .split()[1])
+    found = []
+    frontier = [pid]
+    while frontier:
+        frontier = [child for child, parent in parents.items()
+                    if parent in frontier]
+        found += frontier
+    return [child for child in found if running(child)]
+
+
 @pytest.mark.slow
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="finds the shard workers in /proc")
 class TestCitySigkillResume:
     def test_sigkill_then_resume_matches_clean_digest(self, tmp_path):
-        """kill -9 mid-epoch, then ``repro city --resume``."""
+        """kill -9 a ``--jobs 2`` coordinator mid-epoch, then
+        ``repro city --resume``: no worker outlives the coordinator,
+        and the resumed digest equals the clean serial one."""
         env = dict(os.environ,
                    PYTHONPATH="src", REPRO_CACHE="0",
                    REPRO_JOURNAL_DIR=str(tmp_path / "journal"))
         cmd = [sys.executable, "-m", "repro", "city",
                "--rows", "4", "--cols", "4", "--shards", "2",
-               "--epochs", "10", "--epoch-cycles", "20",
+               "--epochs", "30", "--epoch-cycles", "20",
                "--warmup", "5", "--data-users", "2",
                "--gps-users", "1", "--movers", "1",
                "--hops-per-epoch", "1.0", "--seed", "7",
@@ -332,6 +500,7 @@ class TestCitySigkillResume:
         digest = clean.stdout.strip().splitlines()[-1]
         assert len(digest) == 64
 
+        cmd += ["--jobs", "2"]
         victim = subprocess.Popen(cmd, env=env,
                                   stdout=subprocess.DEVNULL,
                                   stderr=subprocess.DEVNULL)
@@ -349,10 +518,17 @@ class TestCitySigkillResume:
         assert victim.poll() is None, \
             "run finished before it could be killed; grow the config"
         assert committed >= 2, "no epoch committed before timeout"
+        workers = running_descendants(victim.pid)
+        assert len(workers) >= 2, workers
         victim.send_signal(signal.SIGKILL)
         victim.wait(timeout=60)
         assert any(journal_dir.glob("city-*.jsonl")), \
             "SIGKILL destroyed the journal"
+        deadline = time.time() + 30
+        while any(map(running, workers)) and time.time() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, workers)), \
+            "a shard worker outlived its killed coordinator"
 
         resumed = subprocess.run(cmd + ["--resume"], env=env,
                                  capture_output=True, text=True,
@@ -427,8 +603,7 @@ def fresh_registry():
 class TestCityMetrics:
     def test_city_families_are_published(self, fresh_registry):
         fresh_registry.enable()
-        run_city(city_config(), jobs=1, cache=False,
-                 checkpoint=False)
+        run_city(city_config(), jobs=1, checkpoint=False)
         families = {family.name for family
                     in fresh_registry.families()}
         assert "osu_city_handoffs_total" in families
@@ -441,9 +616,15 @@ class TestCityMetrics:
         assert all(len(labels) == 3  # (shard, cell, kind)
                    for labels, _ in children)
 
+    def test_workers_report_the_barrier_lag(self, fresh_registry):
+        fresh_registry.enable()
+        run_city(city_config(), jobs=2, checkpoint=False)
+        lag = fresh_registry.get("osu_city_epoch_barrier_lag_seconds")
+        (_, gauge), = lag.children()
+        assert gauge.value > 0.0
+
     def test_disabled_registry_costs_nothing(self, fresh_registry,
                                              serial_result):
-        result = run_city(city_config(), jobs=1, cache=False,
-                          checkpoint=False)
+        result = run_city(city_config(), jobs=1, checkpoint=False)
         assert fresh_registry.families() == []
         assert result.digest == serial_result.digest
