@@ -16,9 +16,10 @@ makes that structure explicit and shared:
 * :mod:`~repro.engine.policy` -- the :class:`RunPolicy` resilience
   knobs (``--timeout/--retries/--fail-fast/--resume`` with ``REPRO_*``
   env mirrors) and the structured :class:`PointFailure` salvage record.
-* :mod:`~repro.engine.checkpoint` -- crash-safe per-spec journals of
-  completed points, so a SIGKILLed sweep resumed with ``--resume``
-  recomputes only the unfinished points.
+* :mod:`~repro.engine.checkpoint` -- the durable ``AppendLog`` every
+  journal is built on, and the per-spec journals of completed points,
+  so a SIGKILLed sweep resumed with ``--resume`` recomputes only the
+  unfinished points.
 * :mod:`~repro.engine.cache` -- an on-disk result cache under
   ``.repro-cache/`` keyed by a content hash of the point's config plus a
   fingerprint of the package source, so repeated invocations skip

@@ -1,10 +1,16 @@
-"""Checkpoint journals: killed sweeps resume instead of restarting.
+"""Durable journals: one append-only log, three record schemas.
+
+:class:`AppendLog` is the one durable-log primitive: a JSONL file, its
+:class:`JournalLock` pidfile, and the rule for what counts as
+committed.  Three record schemas sit on it: :class:`SweepJournal`
+here, the service journal (:mod:`repro.serve.journal`) and the city
+journal (:mod:`repro.shard.journal`).
 
 A :class:`SweepJournal` records every completed point of one spec as a
-single JSON line ``{"key": <point_key>, "value": ...}``, appended and
-flushed the moment the point finishes.  A sweep killed at any instant
--- including SIGKILL, which never reaches Python -- therefore loses at
-most the points still in flight; ``execute(..., resume=True)`` (CLI
+single line ``{"key": <point_key>, "value": ...}``, appended the moment
+the point finishes.  A sweep killed at any instant -- including
+SIGKILL, which never reaches Python -- therefore loses at most the
+points still in flight; ``execute(..., resume=True)`` (CLI
 ``--resume`` / ``REPRO_RESUME=1``) replays the matching lines instead
 of recomputing them and keeps journaling the rest.
 
@@ -13,26 +19,18 @@ Layout: journals live under ``<cache-dir>/journal/`` (override with
 (spec name, grid fingerprint).  The grid digest hashes the full list of
 point keys -- which already fingerprint config *and* package source --
 so resuming after a config, grid, or code change starts a fresh journal
-rather than replaying stale values.  A torn final line from a mid-write
-kill is skipped on load, and a journal is deleted once its sweep
-finishes with no failures (the result cache, when enabled, still holds
-the values).
-
-Durability and exclusivity: the first record of a grid fsyncs both the
-journal file and its directory entry (a crash immediately after journal
-creation must not leave a resumable sweep pointing at an unlisted
-file), and each journal is guarded by a :class:`JournalLock` pidfile so
-two processes cannot resume the same journal concurrently.  The
-long-running service mode (``repro serve``) reuses both primitives for
-its own cycle-granular journals (:mod:`repro.serve.journal`).
+rather than replaying stale values.  A journal is deleted once its
+sweep finishes with no failures (the result cache, when enabled, still
+holds the values).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
-from typing import Any, Dict, Optional, Sequence, TextIO
+from typing import Any, Dict, Iterator, Optional, Sequence, TextIO
 
 
 def default_journal_dir() -> str:
@@ -42,6 +40,13 @@ def default_journal_dir() -> str:
     from repro.engine.cache import default_cache_dir
 
     return os.path.join(default_cache_dir(), "journal")
+
+
+def journal_path(root: Optional[str], stem: str, suffix: str) -> str:
+    """``<root>/<stem><suffix>``, the stem made safe as a file name."""
+    safe = "".join(ch if ch.isalnum() or ch in "-_" else "-"
+                   for ch in stem)
+    return os.path.join(root or default_journal_dir(), safe + suffix)
 
 
 def fsync_directory(path: str) -> None:
@@ -156,81 +161,152 @@ class JournalLock:
             pass
 
 
-class SweepJournal:
-    """Crash-safe completed-point journal for one spec grid."""
+class JournalCorruptError(RuntimeError):
+    """A committed journal line is not a JSON object."""
 
-    def __init__(self, name: str, keys: Sequence[str],
-                 root: Optional[str] = None):
-        self.root = root or default_journal_dir()
-        digest = hashlib.sha256(
-            "\n".join(keys).encode("utf-8")).hexdigest()[:16]
-        safe = "".join(ch if ch.isalnum() or ch in "-_" else "-"
-                       for ch in name)
-        self.path = os.path.join(self.root, f"{safe}-{digest}.jsonl")
-        self._keys = frozenset(keys)
+    def __init__(self, path: str, line: int):
+        super().__init__(f"{path}:{line}: committed journal record is "
+                         f"not a JSON object")
+        self.path = path
+        self.line = line
+
+
+class AppendLog:
+    """One crash-safe JSONL file of records, guarded by a lock.
+
+    **A record is committed once its newline is written.**  Bytes after
+    the last newline are a torn tail from a mid-append kill:
+    :meth:`records` ignores them, and the first append of the next
+    open truncates them, so the next record is never joined onto the
+    fragment.  A committed line that is not a JSON object raises
+    :class:`JournalCorruptError` naming the file and line.
+
+    Every record is flushed to the OS as it is appended, so even
+    SIGKILL cannot lose it once :meth:`append_record` returns.  The
+    first append of each open also fsyncs the file and its directory
+    entry, so a crash right after creation cannot leave a resumable
+    run pointing at an unlisted file; :meth:`sync` fsyncs on demand.
+    """
+
+    sort_keys = True  # canonical record bytes
+
+    def __init__(self, path: str):
+        self.path = path
+        self.lock = JournalLock(path + ".lock")
         self._handle: Optional[TextIO] = None
-        self._dir_synced = False
-        self.lock = JournalLock(self.path + ".lock")
 
     def acquire(self) -> None:
-        """Take the journal's pidfile lock (see :class:`JournalLock`)."""
+        """Take the pidfile lock; raises :class:`JournalLockedError`."""
         self.lock.acquire()
 
-    def load(self) -> Dict[str, Any]:
-        """Completed ``key -> value`` entries belonging to this grid."""
-        entries: Dict[str, Any] = {}
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue  # torn tail from a mid-write kill
-                    if not isinstance(record, dict):
-                        continue
-                    key = record.get("key")
-                    if key in self._keys:
-                        entries[key] = record.get("value")
-        except OSError:
-            return {}
-        return entries
+    def exists(self) -> bool:
+        return os.path.exists(self.path)
 
-    def append(self, key: str, value: Any) -> bool:
-        """Journal one completed point (no-op for non-JSON values)."""
+    def records(self) -> Iterator[Dict[str, Any]]:
+        """The committed records in order (none without a file)."""
         try:
-            line = json.dumps({"key": key, "value": value})
-        except (TypeError, ValueError):
-            return False  # recomputed on resume instead
-        if self._handle is None:
-            os.makedirs(self.root, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(line + "\n")
-        # Push the line to the OS so even SIGKILL can't lose it.
-        self._handle.flush()
-        if not self._dir_synced:
-            # First record: fsync the file *and* its directory entry,
-            # so a crash right after journal creation cannot leave a
-            # resumable sweep pointing at an unlisted file.
+            handle = open(self.path, "rb")
+        except OSError:
+            return
+        with handle:
+            for number, line in enumerate(handle, 1):
+                if not line.endswith(b"\n"):
+                    return  # torn tail: never committed
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    record = None
+                if not isinstance(record, dict):
+                    raise JournalCorruptError(self.path, number)
+                yield record
+
+    def append_record(self, record: Dict[str, Any]) -> None:
+        """Commit one record; a non-JSON record raises before writing."""
+        line = json.dumps(record, sort_keys=self.sort_keys) + "\n"
+        handle = self._handle
+        first = handle is None
+        if handle is None:
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+            self._truncate_torn_tail()
+            handle = self._handle = open(self.path, "a", encoding="utf-8")
+        handle.write(line)
+        handle.flush()
+        if first:
+            self.sync()
+            fsync_directory(os.path.dirname(self.path) or ".")
+
+    def sync(self) -> None:
+        """fsync the records appended since this log was opened."""
+        if self._handle is not None:
             try:
                 os.fsync(self._handle.fileno())
             except OSError:
                 pass
-            fsync_directory(self.root)
-            self._dir_synced = True
-        return True
+
+    def _truncate_torn_tail(self) -> None:
+        """Cut the file back to just after its last newline."""
+        try:
+            handle = open(self.path, "r+b")
+        except FileNotFoundError:
+            return
+        with handle:
+            size = handle.seek(0, os.SEEK_END)
+            if size == 0:
+                return  # mmap cannot map an empty file
+            with mmap.mmap(handle.fileno(), 0,
+                           access=mmap.ACCESS_READ) as view:
+                end = view.rfind(b"\n") + 1  # scans back from the end
+            if end < size:
+                handle.truncate(end)
+
+    def _close_handle(self) -> None:
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
 
     def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            finally:
-                self._handle = None
+        """Close the file and release the lock; the records stay."""
+        self._close_handle()
         self.lock.release()
 
-    def discard(self) -> None:
-        """Remove the journal (its sweep finished cleanly)."""
-        self.close()
+    def reset(self) -> None:
+        """Delete every record while keeping the lock held."""
+        self._close_handle()
         try:
             os.unlink(self.path)
         except OSError:
             pass
+
+    def discard(self) -> None:
+        """Delete the log and release its lock (its run finished)."""
+        self.reset()
+        self.lock.release()
+
+
+class SweepJournal(AppendLog):
+    """Completed-point journal for one spec grid."""
+
+    #: Resumed values keep their computed key order, which reducers
+    #: such as ``mean_of_summaries`` pass on to the sweep's output.
+    sort_keys = False
+
+    def __init__(self, name: str, keys: Sequence[str],
+                 root: Optional[str] = None):
+        digest = hashlib.sha256(
+            "\n".join(keys).encode("utf-8")).hexdigest()[:16]
+        super().__init__(journal_path(root, f"{name}-{digest}", ".jsonl"))
+        self._keys = frozenset(keys)
+
+    def load(self) -> Dict[str, Any]:
+        """Completed ``key -> value`` entries belonging to this grid."""
+        return {record["key"]: record.get("value")
+                for record in self.records()
+                if record.get("key") in self._keys}
+
+    def append(self, key: str, value: Any) -> bool:
+        """Journal one completed point (no-op for non-JSON values)."""
+        try:
+            self.append_record({"key": key, "value": value})
+        except (TypeError, ValueError):
+            return False  # recomputed on resume instead
+        return True

@@ -195,10 +195,11 @@ _ORDER_SANITIZER_FUNCS = {
     "repro.engine.hashing.canonical",
 }
 
-_JOURNAL_CLASSES = {"ServiceJournal", "SweepJournal", "CityJournal"}
+_JOURNAL_CLASSES = {"AppendLog", "ServiceJournal", "SweepJournal",
+                    "CityJournal"}
 _JOURNAL_METHODS = {
     "append", "append_control", "append_snapshot", "append_event",
-    "append_epoch", "write_header", "_append",
+    "append_epoch", "write_header", "append_record",
 }
 _ENVELOPE_SINK_FUNCS = {
     "repro.shard.envelopes.message_envelope",

@@ -26,25 +26,19 @@ record:
     Operational breadcrumbs (resume, watchdog restart, clean shutdown);
     never replayed.
 
-Durability and exclusivity reuse the sweep-journal primitives
-(:mod:`repro.engine.checkpoint`): the first record fsyncs the file and
-its directory entry, every record is flushed, a torn tail from a
-mid-write SIGKILL is skipped on load, and a :class:`JournalLock`
-pidfile forbids two live processes from resuming the same journal.
+Durability, locking and the commit rule are the shared
+:class:`~repro.engine.checkpoint.AppendLog`'s.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, TextIO
+from typing import Any, Dict, List, Optional
 
 from repro.engine.checkpoint import (
-    JournalLock,
+    AppendLog,
     JournalLockedError,
-    default_journal_dir,
-    fsync_directory,
+    journal_path,
 )
 
 __all__ = ["SERVE_JOURNAL_SCHEMA", "JournalLockedError",
@@ -82,124 +76,49 @@ class ServiceLog:
         return max(self.snapshot_cycle, last_op)
 
 
-class ServiceJournal:
+class ServiceJournal(AppendLog):
     """Append-only journal for one supervised cell."""
 
     def __init__(self, name: str, root: Optional[str] = None):
-        self.root = root or default_journal_dir()
-        safe = "".join(ch if ch.isalnum() or ch in "-_" else "-"
-                       for ch in name)
-        self.path = os.path.join(self.root, f"{safe}.serve.jsonl")
-        self.lock = JournalLock(self.path + ".lock")
-        self._handle: Optional[TextIO] = None
-        self._dir_synced = False
-
-    # -- lifecycle --------------------------------------------------------
-
-    def exists(self) -> bool:
-        return os.path.exists(self.path)
-
-    def acquire(self) -> None:
-        """Take the pidfile lock; raises :class:`JournalLockedError`."""
-        self.lock.acquire()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            finally:
-                self._handle = None
-        self.lock.release()
-
-    def discard(self) -> None:
-        """Delete the journal (a fresh service restarts the name)."""
-        self.close()
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
-
-    def reset(self) -> None:
-        """Truncate an old journal while keeping the lock held."""
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            finally:
-                self._handle = None
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
-        self._dir_synced = False
-
-    # -- writing ----------------------------------------------------------
-
-    def _append(self, record: Dict[str, Any]) -> None:
-        if self._handle is None:
-            os.makedirs(self.root, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        if not self._dir_synced:
-            # First record: make the file *and* its directory entry
-            # durable, so a kill right after creation cannot leave a
-            # resumable service pointing at an unlisted file.
-            try:
-                os.fsync(self._handle.fileno())
-            except OSError:
-                pass
-            fsync_directory(self.root)
-            self._dir_synced = True
+        super().__init__(journal_path(root, name, ".serve.jsonl"))
 
     def write_header(self, config_digest: str,
                      config: Any, serve: Any) -> None:
-        self._append({"kind": "header",
-                      "schema": SERVE_JOURNAL_SCHEMA,
-                      "config_sha256": config_digest,
-                      "config": config,
-                      "serve": serve})
+        self.append_record({"kind": "header",
+                            "schema": SERVE_JOURNAL_SCHEMA,
+                            "config_sha256": config_digest,
+                            "config": config,
+                            "serve": serve})
 
     def append_control(self, cycle: int, op: Dict[str, Any]) -> None:
-        self._append({"kind": "control", "cycle": cycle, "op": op})
+        self.append_record({"kind": "control", "cycle": cycle, "op": op})
 
     def append_snapshot(self, cycle: int,
                         counters: Dict[str, Any],
                         serve_counters: Dict[str, Any]) -> None:
-        self._append({"kind": "snapshot", "cycle": cycle,
-                      "counters": counters, "serve": serve_counters})
+        self.append_record({"kind": "snapshot", "cycle": cycle,
+                            "counters": counters,
+                            "serve": serve_counters})
 
     def append_event(self, event: str, cycle: int,
                      **fields: Any) -> None:
         record: Dict[str, Any] = {"kind": "event", "event": event,
                                   "cycle": cycle}
         record.update(fields)
-        self._append(record)
-
-    # -- reading ----------------------------------------------------------
+        self.append_record(record)
 
     def load(self) -> ServiceLog:
-        """Parse the journal, tolerating a torn final line."""
+        """Everything the committed records determine."""
         log = ServiceLog()
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue  # torn tail from a mid-write kill
-                    if not isinstance(record, dict):
-                        continue
-                    kind = record.get("kind")
-                    if kind == "header":
-                        log.header = record
-                    elif kind == "control":
-                        log.ops.append(record)
-                    elif kind == "snapshot":
-                        log.snapshot = record
-                    elif kind == "event":
-                        log.events.append(record)
-                        log.clean_shutdown = \
-                            record.get("event") == "shutdown"
-        except OSError:
-            return log
+        for record in self.records():
+            kind = record.get("kind")
+            if kind == "header":
+                log.header = record
+            elif kind == "control":
+                log.ops.append(record)
+            elif kind == "snapshot":
+                log.snapshot = record
+            elif kind == "event":
+                log.events.append(record)
+                log.clean_shutdown = record.get("event") == "shutdown"
         return log

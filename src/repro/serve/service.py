@@ -177,7 +177,9 @@ class CellService:
         """Build the cell; under ``resume``, replay the journal first.
 
         Raises :class:`~repro.serve.journal.JournalLockedError` when
-        another live process owns the journal, and
+        another live process owns the journal,
+        :class:`~repro.engine.checkpoint.JournalCorruptError` when a
+        committed journal record does not parse, and
         :class:`ResumeIntegrityError` when replay diverges from the
         journaled snapshot.
         """

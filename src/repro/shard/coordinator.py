@@ -34,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
@@ -281,10 +280,7 @@ class CityCoordinator:
             # Rewrite from a clean header: a fresh run drops any stale
             # journal; a resumed one re-commits its verified prefix as
             # each epoch replays below.
-            try:
-                os.unlink(journal.path)
-            except OSError:
-                pass
+            journal.reset()
             journal.write_header()
 
         epoch_digests: List[str] = []

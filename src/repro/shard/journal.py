@@ -1,52 +1,37 @@
 """The city journal: per-epoch checkpoints so a killed run resumes.
 
 One JSONL file per (config digest) under the engine's journal root
-(``REPRO_JOURNAL_DIR`` or ``<cache>/journal``), guarded by the same
-pidfile :class:`~repro.engine.checkpoint.JournalLock` the sweep journal
-uses.  The first line is a header identifying the schema and the exact
-config; each subsequent line is one completed epoch's full set of shard
-reports (including their outbound envelopes), flushed as the barrier
-commits.  A resumed run replays the journaled epochs through the *same*
-merge code the live run uses, re-deriving digests and the directory --
-and verifies the recomputed digests against the journaled ones, so a
-corrupted or mismatched journal fails loudly instead of silently
-diverging.
-
-A torn final line (SIGKILL mid-append) is skipped on load: that epoch
-never committed, and the resumed run recomputes it.  The journal is
-deleted when the run finishes cleanly.
+(``REPRO_JOURNAL_DIR`` or ``<cache>/journal``), an
+:class:`~repro.engine.checkpoint.AppendLog` that owns durability,
+locking and the commit rule.  The first line is a header identifying
+the schema and the exact config; each subsequent line is one completed
+epoch's full set of shard reports (including their outbound
+envelopes), fsynced as the barrier commits.  A resumed run replays the
+journaled epochs through the *same* merge code the live run uses,
+re-deriving digests and the directory -- and verifies the recomputed
+digests against the journaled ones, so a corrupted or mismatched
+journal fails loudly instead of silently diverging.  An epoch whose
+line was torn by a kill never committed; the resumed run recomputes
+it.  The journal is deleted when the run finishes cleanly.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Dict, List, Optional
 
-from repro.engine.checkpoint import (
-    JournalLock,
-    default_journal_dir,
-    fsync_directory,
-)
+from repro.engine.checkpoint import AppendLog, journal_path
 
 SCHEMA = "repro/city-journal@1"
 
 
-class CityJournal:
+class CityJournal(AppendLog):
     """Crash-safe epoch checkpoint log for one city run."""
 
     def __init__(self, config_digest: str,
                  root: Optional[str] = None):
-        self.root = root or default_journal_dir()
+        super().__init__(journal_path(
+            root, f"city-{config_digest[:16]}", ".jsonl"))
         self.config_digest = config_digest
-        self.path = os.path.join(
-            self.root, f"city-{config_digest[:16]}.jsonl")
-        self.lock = JournalLock(self.path + ".lock")
-        self._handle = None
-        self._dir_synced = False
-
-    def acquire(self) -> None:
-        self.lock.acquire()
 
     def load(self) -> List[Dict[str, Any]]:
         """Committed epoch records, in epoch order.
@@ -57,20 +42,7 @@ class CityJournal:
         filename, an out-of-order tail) is discarded rather than
         resumed.
         """
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError:
-            return []
-        records = []
-        for line in lines:
-            try:
-                record = json.loads(line)
-            except ValueError:
-                break  # torn tail from a mid-write kill
-            if not isinstance(record, dict):
-                break
-            records.append(record)
+        records = list(self.records())
         if not records:
             return []
         header = records[0]
@@ -84,41 +56,12 @@ class CityJournal:
         return epochs
 
     def write_header(self) -> None:
-        self._append({"schema": SCHEMA,
-                      "config_sha256": self.config_digest})
+        self.append_record({"schema": SCHEMA,
+                            "config_sha256": self.config_digest})
 
     def append_epoch(self, epoch: int,
                      reports: List[Dict[str, Any]],
                      epoch_digest: str) -> None:
-        self._append({"epoch": epoch, "epoch_digest": epoch_digest,
-                      "reports": reports})
-
-    def _append(self, record: Dict[str, Any]) -> None:
-        if self._handle is None:
-            os.makedirs(self.root, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        try:
-            os.fsync(self._handle.fileno())
-        except OSError:
-            pass
-        if not self._dir_synced:
-            fsync_directory(self.root)
-            self._dir_synced = True
-
-    def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            finally:
-                self._handle = None
-        self.lock.release()
-
-    def discard(self) -> None:
-        """Remove the journal (the run finished cleanly)."""
-        self.close()
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
+        self.append_record({"epoch": epoch, "epoch_digest": epoch_digest,
+                            "reports": reports})
+        self.sync()

@@ -217,6 +217,17 @@ def test_journal_rejects_unserializable_values(tmp_path):
     journal.close()
 
 
+def test_journal_keeps_value_key_order(tmp_path):
+    # Reducers emit the first value's key order, so a resumed value
+    # must come back in the order it was computed in.
+    journal = SweepJournal("order", ["k"], root=str(tmp_path))
+    assert journal.append("k", {"zeta": 1, "alpha": {"y": 2, "x": 3}})
+    journal.close()
+    value = SweepJournal("order", ["k"], root=str(tmp_path)).load()["k"]
+    assert list(value) == ["zeta", "alpha"]
+    assert list(value["alpha"]) == ["y", "x"]
+
+
 # -- cache hygiene satellites ----------------------------------------------
 
 

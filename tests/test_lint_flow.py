@@ -65,6 +65,28 @@ CLOCK_SINK = (
     "    journal.append_event({\"cycle\": cycle, \"t\": started})\n",
 )
 
+# clock, direct: the same read reaches the durable-log primitive's
+# record writer with no journal schema in between.
+APPEND_LOG = (
+    "src/repro/engine/checkpoint.py",
+    "class AppendLog:\n"
+    "    def __init__(self, path):\n"
+    "        self.path = path\n"
+    "\n"
+    "    def append_record(self, record):\n"
+    "        return record\n",
+)
+CLOCK_LOG_SINK = (
+    "src/repro/serve/stamps.py",
+    "from repro.engine.checkpoint import AppendLog\n"
+    "from repro.serve.pacing import stamp\n"
+    "\n"
+    "\n"
+    "def record(path, cycle):\n"
+    "    log = AppendLog(path)\n"
+    "    log.append_record({\"cycle\": cycle, \"t\": stamp()})\n",
+)
+
 # order: dict-iteration order computed behind a helper feeds an
 # envelope constructor in another module.
 ORDER_HELPER = (
@@ -116,6 +138,16 @@ class TestTaintKinds:
         assert finding.path == CLOCK_SINK[0]
         assert finding.line == 6  # the append_event sink line
         assert "time.monotonic" in finding.message
+
+    def test_clock_reaching_append_log(self):
+        assert rules_of(check_source(CLOCK_LOG_SINK[1],
+                                     CLOCK_LOG_SINK[0])) == []
+        report = check_project([CLOCK_SOURCE, APPEND_LOG, CLOCK_LOG_SINK])
+        assert rules_of(report) == ["FLOW102"]
+        finding = report.findings[0]
+        assert finding.path == CLOCK_LOG_SINK[0]
+        assert finding.line == 7  # the append_record sink line
+        assert "AppendLog.append_record" in finding.message
 
     def test_clock_without_sink_is_clean(self):
         report = check_project([CLOCK_SOURCE])

@@ -129,6 +129,13 @@ class TestJournalLock:
             handle.write(lines[-1][:len(lines[-1]) // 2])
         loaded = SweepJournal("torn2", keys, root=str(tmp_path)).load()
         assert loaded == {"k1": {"v": 1}}
+        # The resumed sweep's next point must not be glued to the torn
+        # fragment (and lost with it).
+        resumed = SweepJournal("torn2", keys, root=str(tmp_path))
+        resumed.append("k3", {"v": 3})
+        resumed.close()
+        reloaded = SweepJournal("torn2", keys, root=str(tmp_path)).load()
+        assert reloaded == {"k1": {"v": 1}, "k3": {"v": 3}}
 
 
 # -- the service journal ----------------------------------------------------
@@ -410,6 +417,9 @@ class TestResume:
         resumed.start(resume=True)
         assert resumed.cycle == svc.cycle
         resumed.shutdown()
+        events = [record["event"]
+                  for record in resumed.journal.load().events]
+        assert "resumed" in events
 
     def test_resume_refuses_foreign_config(self, tmp_path):
         svc = self._soak(tmp_path, cycles_after=2)
