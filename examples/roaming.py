@@ -68,7 +68,7 @@ def main() -> None:
               f"radio violations {int(s.radio_violations)}")
     print()
     print(f"roamer finished in cell "
-          f"{net.directory[roamer.ein][0]} with state "
+          f"{net.directory[roamer.ein]} with state "
           f"{roamer.state!r} (uid {roamer.uid})")
 
 

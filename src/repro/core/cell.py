@@ -41,6 +41,13 @@ from repro.traffic.messages import (
 #: EIN blocks for generated subscribers (arbitrary, disjoint).
 DATA_EIN_BASE = 0x1000
 GPS_EIN_BASE = 0x2000
+#: EIN block stride between the cells of a multicell network or city:
+#: cell ``c`` is built with ``ein_offset = c * EIN_CELL_STRIDE``.  A
+#: stride wider than both bases plus any index keeps every cell's data
+#: *and* GPS blocks disjoint network-wide, at the cost of EINs beyond
+#: the paper's 16-bit space (multicell runs are logical-object only, so
+#: nothing packs them; ``full_fidelity`` would).
+EIN_CELL_STRIDE = 0x4000
 
 
 def _make_error_model(config: CellConfig,

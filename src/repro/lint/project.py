@@ -524,6 +524,16 @@ class Project:
                 if resolved in self.functions:
                     return (resolved,), None
                 return (), dotted
+            # super().m(): the first definition above the caller's class
+            if isinstance(receiver, ast.Call) \
+                    and isinstance(receiver.func, ast.Name) \
+                    and receiver.func.id == "super" and func.cls:
+                info = self.classes.get(func.cls)
+                for base in (info.bases if info else ()):
+                    target = self._mro_lookup(base, node.attr)
+                    if target:
+                        return (target,), None
+                return (), None
             # dotted module path: repro.phy.timing.foo(...)
             dotted = self._dotted_text(node)
             if dotted:

@@ -11,11 +11,14 @@ This package builds that wide-area layer on top of the single-cell MAC:
 
 * :mod:`repro.network.backbone` -- the wired point-to-point backbone:
   FIFO links with propagation latency and serialization bandwidth;
-* :mod:`repro.network.multicell` -- N cells sharing one simulator,
-  message-level inter-cell forwarding (uplink at the source cell ->
-  backbone -> downlink at the destination cell), paging of
-  not-yet-registered destinations, and subscriber handoff between cells
-  (sign-off + re-registration, with the uplink queue carried over).
+* :mod:`repro.network.multicell` -- the one multicell engine: a group
+  of cells sharing one simulator, message-level inter-cell forwarding
+  (uplink at the source cell -> backbone -> downlink at the destination
+  cell), paging of not-yet-registered destinations, and handoff of data
+  users and GPS units between cells (sign-off + re-registration, with
+  the uplink queue carried over).  ``repro network`` runs it as a
+  one-shard city; every ``repro city`` shard
+  (:class:`repro.shard.shard.ShardSim`) is one.
 
 The backbone operates at message granularity: the paper does not define
 a wire format for the inter-BS network, so destination addressing is

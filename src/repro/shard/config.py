@@ -23,16 +23,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.cell import DATA_EIN_BASE, EIN_CELL_STRIDE, GPS_EIN_BASE
 from repro.core.config import CellConfig
 from repro.phy import timing
-
-#: EIN block stride between cells.  ``build_cell`` derives EINs as
-#: ``0x1000 + offset + i`` (data) and ``0x2000 + offset + j`` (GPS);
-#: a stride wider than both bases plus any index keeps every cell's
-#: data *and* GPS blocks disjoint city-wide, at the cost of EINs beyond
-#: the paper's 16-bit space (the logical-object simulation never packs
-#: them, and city mode rejects ``full_fidelity``, which would).
-EIN_CELL_STRIDE = 0x4000
 
 
 @dataclass(frozen=True)
@@ -81,8 +74,7 @@ class CityConfig:
     cols: int = 4
     num_shards: int = 2
     #: Per-cell template.  ``load_index``/``forward_load_index`` must be
-    #: zero (the city generates the addressed workload itself, exactly
-    #: like :class:`~repro.network.multicell.MultiCellConfig`) and its
+    #: zero (the city generates the addressed workload itself) and its
     #: ``cycles``/``warmup_cycles`` are overridden by the epoch grid
     #: below.
     cell: CellConfig = field(default_factory=lambda: CellConfig(
@@ -184,16 +176,16 @@ class CityConfig:
     # -- subscriber identity ------------------------------------------------
 
     def data_ein(self, cell_id: int, index: int) -> int:
-        return 0x1000 + cell_id * EIN_CELL_STRIDE + index
+        return DATA_EIN_BASE + cell_id * EIN_CELL_STRIDE + index
 
     def gps_ein(self, cell_id: int, index: int) -> int:
-        return 0x2000 + cell_id * EIN_CELL_STRIDE + index
+        return GPS_EIN_BASE + cell_id * EIN_CELL_STRIDE + index
 
     def home_cell_of_ein(self, ein: int) -> int:
         return ein // EIN_CELL_STRIDE
 
     def is_gps_ein(self, ein: int) -> bool:
-        return ein % EIN_CELL_STRIDE >= 0x2000
+        return ein % EIN_CELL_STRIDE >= GPS_EIN_BASE
 
     def all_data_eins(self) -> List[int]:
         return [self.data_ein(cell, index)

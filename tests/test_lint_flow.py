@@ -272,6 +272,33 @@ class TestReachability:
         assert "SEEN" in report.findings[0].message
         assert "shard worker" in report.findings[0].message
 
+    def test_par004_follows_super_calls(self):
+        # ShardSim.* is a root; the mutation sits in the base class
+        # constructor, which only super().__init__() reaches.
+        base = (
+            "src/repro/network/multicell.py",
+            "BUILT = []\n"
+            "\n"
+            "\n"
+            "class MultiCellNetwork:\n"
+            "    def __init__(self, config, shard_id=0):\n"
+            "        BUILT.append(shard_id)\n",
+        )
+        shard = (
+            "src/repro/shard/shard.py",
+            "from repro.network.multicell import MultiCellNetwork\n"
+            "\n"
+            "\n"
+            "class ShardSim(MultiCellNetwork):\n"
+            "    def __init__(self, city, shard_id):\n"
+            "        super().__init__(city, shard_id)\n",
+        )
+        report = check_project([base, shard])
+        assert rules_of(report) == ["PAR004"]
+        assert report.findings[0].path == base[0]
+        assert report.findings[0].line == 6
+        assert "BUILT" in report.findings[0].message
+
     def test_par004_skips_unreachable_mutation(self):
         fixture = (
             "src/repro/engine/warm_cache.py",

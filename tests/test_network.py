@@ -127,7 +127,7 @@ class TestHandoff:
         net.handoff(mover.ein, 1, at_time=40 * timing.CYCLE_LENGTH)
         net.run()
         assert net.stats.handoffs_completed == 1
-        assert net.directory[mover.ein][0] == 1
+        assert net.directory[mover.ein] == 1
         assert mover.state == "active"
         assert mover.uid is not None
         # The new cell approved one extra registration.
@@ -142,7 +142,7 @@ class TestHandoff:
         net.handoff(mover.ein, 0, at_time=70 * timing.CYCLE_LENGTH)
         net.run()
         assert net.stats.handoffs_completed == 2
-        assert net.directory[mover.ein][0] == 0
+        assert net.directory[mover.ein] == 0
         assert mover.state == "active"
 
     def test_no_radio_violations_across_handoff(self):
@@ -264,6 +264,35 @@ class TestHandoff:
             net.handoff(net.cells[0].data_users[0].ein, 7)
 
 
+class TestEinLayout:
+    """Cells' EIN blocks stay disjoint however many cells there are."""
+
+    @staticmethod
+    def five_cell_network():
+        cell = CellConfig(num_data_users=3, num_gps_users=2,
+                          load_index=0.0, cycles=100, warmup_cycles=15,
+                          seed=3)
+        return build_network(network_config(num_cells=5, cell=cell))
+
+    def test_every_ein_is_distinct(self):
+        net = self.five_cell_network()
+        eins = [sub.ein for cell in net.cells
+                for sub in cell.data_users + cell.gps_units]
+        assert len(eins) == 25
+        assert len(set(eins)) == len(eins)
+
+    def test_handoff_into_cell_zero_registers_afresh(self):
+        net = self.five_cell_network()
+        mover = net.cells[4].data_users[0]
+        assert mover.name == "c4-data-0"
+        net.handoff(mover.ein, 0, at_time=40 * timing.CYCLE_LENGTH)
+        net.run()
+        cell = net.cells[0]
+        assert cell.stats.registrations_completed == 3 + 2 + 1
+        assert mover.uid is not None
+        assert mover.uid not in {unit.uid for unit in cell.gps_units}
+
+
 class TestGpsHandoff:
     def test_gps_unit_moves_between_cells(self):
         """A bus crossing a cell boundary: its GPS unit signs off, re-
@@ -302,3 +331,18 @@ class TestGpsHandoff:
         # The unit keeps reporting in its new cell with zero deadline
         # misses (the QoS clock restarts at activation).
         assert len(unit.radio.violations) == 0
+
+    def test_gps_unit_hands_off_through_the_public_api(self):
+        net = build_network(network_config())
+        unit = net.cells[0].gps_units[0]
+        net.handoff(unit.ein, 1, at_time=40 * timing.CYCLE_LENGTH)
+        net.run()
+        assert unit.state == "active"
+        assert net.directory[unit.ein] == 1
+        assert net.cells[1].base_station.gps_mgr.slot_of(unit.uid) \
+            is not None
+        assert net.cells[0].base_station.gps_mgr.active_count \
+            == net.config.cell.num_gps_users - 1
+        for cell in net.cells:
+            assert cell.stats.gps_deadline_misses == 0
+            assert cell.stats.radio_violations == 0
