@@ -8,11 +8,12 @@ makes that structure explicit and shared:
   :class:`~repro.engine.spec.Point` (a picklable task function plus its
   config) with an optional reducer, so an experiment module is a spec
   plus a table formatter instead of bespoke nested loops.
-* :mod:`~repro.engine.executors` -- pluggable serial and
-  process-pool-parallel executors (``--jobs N`` / ``REPRO_JOBS``) that
-  produce bit-identical results for the same spec, recover from worker
-  crashes by respawning the pool and re-running only the lost points,
-  and enforce per-point wall-clock timeouts.
+* :mod:`~repro.engine.executors` -- pluggable serial and parallel
+  executors (``--jobs N`` / ``REPRO_JOBS``) that produce bit-identical
+  results for the same spec.  The parallel one runs on the
+  :class:`~repro.engine.executors.WorkerPool` the city's shards also
+  use: a crash or timeout respawns only the worker that ran the point,
+  and workers exit on EOF, so a killed run leaves no orphans.
 * :mod:`~repro.engine.policy` -- the :class:`RunPolicy` resilience
   knobs (``--timeout/--retries/--fail-fast/--resume`` with ``REPRO_*``
   env mirrors) and the structured :class:`PointFailure` salvage record.
@@ -29,7 +30,7 @@ makes that structure explicit and shared:
   fault injector (seed-stable worker crash/hang/error schedules) that
   makes all of the above testable in CI.
 * :mod:`~repro.engine.telemetry` -- per-execution instrumentation
-  (points executed, cache hits, retries, timeouts, pool respawns,
+  (points executed, cache hits, retries, timeouts, worker respawns,
   journal resumes, failures, per-point wall-clock) surfaced by
   ``python -m repro.experiments``.
 """

@@ -1,11 +1,15 @@
-"""Pluggable point executors: serial and fault-tolerant process pool.
+"""Pluggable point executors: serial, and parallel on a worker pool.
 
 Both executors evaluate the same list of ``(fn, config)`` tasks and
 return per-point :class:`PointOutcome` records in task order.  Because
 every point carries its own seed and builds its own simulation, the
-parallel executor is bit-identical to the serial one -- the process
-pool only changes *where* each point runs, never what it computes, and
+parallel executor is bit-identical to the serial one -- the workers
+only change *where* each point runs, never what it computes, and
 re-running a point after a worker crash recomputes the same value.
+
+:class:`WorkerPool` is the one worker-process model, under the
+parallel executor and the city's shard workers alike.  Its workers
+exit on EOF, so a killed parent leaves no orphans.
 
 Resilience (driven by :class:`~repro.engine.policy.RunPolicy`):
 
@@ -14,41 +18,28 @@ Resilience (driven by :class:`~repro.engine.policy.RunPolicy`):
   salvaged as a structured :class:`~repro.engine.policy.PointFailure`
   (or raised immediately under ``fail_fast``).
 * **timeouts** (parallel only) -- a point running longer than
-  ``timeout_s`` is charged a failed attempt, its hung workers are
-  killed, and the pool is respawned; unaffected in-flight points are
-  re-run for free.
-* **worker-crash recovery** -- a ``BrokenProcessPool`` (a worker died
-  mid-point) respawns the pool and resubmits only the lost points,
-  preserving submission-order results.  Respawns are bounded by
-  ``respawn_slack + len(tasks)`` so a task that kills its worker on
+  ``timeout_s`` is charged a failed attempt, and its worker is killed
+  and respawned; the other in-flight points keep running.
+* **worker-crash recovery** -- a point whose worker died re-runs for
+  free on a respawned worker.  Respawns are bounded by
+  ``RESPAWN_SLACK + len(tasks)`` so a task that kills its worker on
   every attempt cannot loop forever.
-* **Ctrl-C** -- on ``KeyboardInterrupt`` the pool is shut down with
-  ``cancel_futures=True`` so queued points do not keep the process
-  alive after the interrupt.
+* **Ctrl-C** -- a ``KeyboardInterrupt``, here or raised by a task,
+  kills every worker and propagates from ``map``.
 """
 
 from __future__ import annotations
 
 import heapq
+import multiprocessing
 import os
+import signal
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.policy import (
     FAILURE_CRASH,
@@ -60,9 +51,12 @@ from repro.engine.policy import (
 )
 
 Task = Tuple[Callable[[Any], Any], Any]
+#: A worker's request handler: one request in, one reply out.
+Handler = Callable[[Any], Any]
 
-#: Poll interval of the parallel supervision loop (seconds).
-TICK_S = 0.05
+#: Worker respawns allowed beyond one per point -- a backstop against a
+#: pathological task that kills its worker on every attempt.
+RESPAWN_SLACK = 8
 
 
 def invoke(fn: Callable[[Any], Any], config: Any,
@@ -158,13 +152,146 @@ class SerialExecutor:
                 elapsed_s=time.monotonic() - begun))
 
 
+# -- the worker pool ---------------------------------------------------------
+
+
+def serve(conn: Connection, inherited: Sequence[Connection],
+          setup: Callable[..., Handler], args: Sequence[Any]) -> None:
+    """Worker process target: build the handler once with
+    ``setup(*args)``, then answer one request per message until EOF.
+
+    ``inherited`` are the parent's ends of every worker pipe, including
+    this one's; a forked child holds copies, and closing them is what
+    lets EOF on ``conn`` mean the parent is gone.
+    """
+    for other in inherited:
+        other.close()
+    # Ctrl-C reaches the whole process group; the parent handles it
+    # and tears the workers down.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    handler = setup(*args)
+    while True:
+        try:
+            request = conn.recv()
+        except EOFError:
+            return
+        reply = handler(request)
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+
+
+def point_runner() -> Handler:
+    """Engine worker set-up.  The handler runs one attempt at one point
+    and replies ``("ok", (value, seconds))``, ``("error", (error,
+    message))``, or ``("interrupt", None)`` when the task raised
+    ``KeyboardInterrupt``."""
+
+    def run_point(request: Tuple[Callable[[Any], Any], Any, int]
+                  ) -> Tuple[str, Any]:
+        fn, config, attempt = request
+        try:
+            return "ok", invoke(fn, config, attempt)
+        except Exception as exc:
+            return "error", (type(exc).__name__, str(exc))
+        except KeyboardInterrupt:
+            return "interrupt", None
+
+    return run_point
+
+
+class WorkerPool:
+    """``count`` long-lived worker processes, each on its own pipe.
+
+    Worker ``i`` runs :func:`serve` in the default
+    :mod:`multiprocessing` context and builds its handler with
+    ``setup(*self._setup_args(i))``.  :meth:`close` reaps the workers,
+    which also adds their CPU time to this process's
+    ``RUSAGE_CHILDREN``.
+    """
+
+    def __init__(self, count: int, setup: Callable[..., Handler],
+                 name: str):
+        self.count = count
+        self.setup = setup
+        self.name = name
+        self._processes: List[BaseProcess] = []
+        self._pipes: List[Connection] = []
+        for worker in range(count):
+            process, pipe = self._start(worker)
+            self._processes.append(process)
+            self._pipes.append(pipe)
+
+    def _setup_args(self, worker: int) -> Tuple[Any, ...]:
+        """The arguments ``worker`` passes to ``setup``."""
+        return ()
+
+    def _start(self, worker: int) -> Tuple[BaseProcess, Connection]:
+        pipe, child = multiprocessing.Pipe()
+        inherited = [other for other in self._pipes if not other.closed]
+        process = multiprocessing.Process(
+            target=serve,
+            args=(child, inherited + [pipe], self.setup,
+                  self._setup_args(worker)),
+            name=f"{self.name}-{worker}", daemon=True)
+        process.start()
+        # Once only the worker holds this end, EOF on ``pipe`` means the
+        # worker is gone.
+        child.close()
+        return process, pipe
+
+    def send(self, worker: int, request: Any) -> None:
+        try:
+            self._pipes[worker].send(request)
+        except OSError:
+            pass  # the worker is gone; ``recv`` sees EOF
+
+    def recv(self, worker: int) -> Any:
+        """The worker's reply; raises ``EOFError`` if it died."""
+        try:
+            return self._pipes[worker].recv()
+        except OSError as exc:
+            raise EOFError(str(exc)) from exc
+
+    def ready(self, workers: Sequence[int],
+              timeout: Optional[float]) -> List[int]:
+        """The ``workers`` whose reply (or EOF) is waiting, after at
+        most ``timeout`` seconds (``None``: until there is one)."""
+        waiting = wait([self._pipes[worker] for worker in workers],
+                       timeout)
+        return [worker for worker in workers
+                if self._pipes[worker] in waiting]
+
+    def restart(self, worker: int) -> None:
+        """Kill ``worker`` if it still runs and start a fresh one."""
+        self._pipes[worker].close()
+        dead = self._processes[worker]
+        dead.kill()
+        dead.join()
+        self._processes[worker], self._pipes[worker] = self._start(worker)
+
+    def close(self, kill: bool = False) -> None:
+        """Close every pipe and reap every worker.  Idle workers exit on
+        EOF; with ``kill`` busy ones are not waited for."""
+        for pipe in self._pipes:
+            pipe.close()
+        for process in self._processes:
+            if kill:
+                process.kill()
+            process.join()
+
+
+# -- the parallel executor ---------------------------------------------------
+
+
 class ParallelExecutor:
-    """``ProcessPoolExecutor``-backed; results stay in submission order.
+    """Points on a :class:`WorkerPool`; results stay in submission order.
 
     Task functions must be module-level (picklable by reference) and
     configs must be picklable -- true for every experiment task in
-    :mod:`repro.experiments`.  Crash, hang, and exception handling are
-    delegated to a per-call :class:`_PoolSupervisor`.
+    :mod:`repro.experiments`.  Each point goes to an idle worker, so a
+    crash or a timeout replaces only the worker that owns the point.
     """
 
     def __init__(self, jobs: int):
@@ -177,29 +304,36 @@ class ParallelExecutor:
             policy: Optional[RunPolicy] = None,
             on_outcome: Optional[Callable[[PointOutcome], None]] = None,
             ) -> MapReport:
-        policy = policy or RunPolicy()
         if not tasks:
             return MapReport()
-        supervisor = _PoolSupervisor(self.jobs, list(tasks), policy,
-                                     on_outcome)
-        return supervisor.run()
+        pool = WorkerPool(min(self.jobs, len(tasks)), point_runner,
+                          "engine-worker")
+        try:
+            report = _Dispatch(pool, list(tasks), policy or RunPolicy(),
+                               on_outcome).run()
+        except BaseException:
+            pool.close(kill=True)
+            raise
+        pool.close()
+        return report
 
 
-class _PoolSupervisor:
-    """Drives one parallel ``map``: submissions, retries, respawns."""
+class _Dispatch:
+    """Drives one parallel ``map``: hand-outs, retries, respawns."""
 
-    def __init__(self, jobs: int, tasks: List[Task], policy: RunPolicy,
+    def __init__(self, pool: WorkerPool, tasks: List[Task],
+                 policy: RunPolicy,
                  on_outcome: Optional[Callable[[PointOutcome], None]]):
         count = len(tasks)
-        self.jobs = min(jobs, count)
+        self.pool = pool
         self.tasks = tasks
         self.policy = policy
         self.on_outcome = on_outcome
-        self.report = MapReport(outcomes=[])
+        self.report = MapReport()
         self.done: List[Optional[PointOutcome]] = [None] * count
         self.remaining = count
-        #: Total submissions per point (also the 1-based attempt number
-        #: that ``invoke`` passes through to attempt-aware tasks).
+        #: Hand-outs per point (also the 1-based attempt number that
+        #: ``invoke`` passes through to attempt-aware tasks).
         self.submits = [0] * count
         #: Attempts charged against the retry budget (exceptions and
         #: timeouts; crash-lost runs are re-run for free).
@@ -210,148 +344,98 @@ class _PoolSupervisor:
         self.ready = deque(range(count))
         #: min-heap of ``(due_monotonic, index)`` backoff waits.
         self.delayed: List[Tuple[float, int]] = []
-        self.pending: Dict[Any, int] = {}
-        #: future -> monotonic time it was first observed running.
-        self.running_since: Dict[Any, float] = {}
-        self.respawn_budget = policy.respawn_slack + count
-        self.pool: Optional[ProcessPoolExecutor] = None
-
-    # -- main loop -------------------------------------------------------
+        #: worker -> ``(index, monotonic hand-out time)`` of its point.
+        self.busy: Dict[int, Tuple[int, float]] = {}
+        self.respawn_budget = RESPAWN_SLACK + count
 
     def run(self) -> MapReport:
-        self.pool = ProcessPoolExecutor(max_workers=self.jobs)
-        try:
-            while self.remaining:
-                self._promote_due()
-                self._submit_ready()
-                if not self.pending:
-                    self._sleep_until_due()
-                    continue
-                self._reap()
+        while self.remaining:
+            now = time.monotonic()
+            while self.delayed and self.delayed[0][0] <= now:
+                self.ready.append(heapq.heappop(self.delayed)[1])
+            self._hand_out()
+            if self.busy:
+                self._collect()
                 self._check_timeouts()
-            self.report.outcomes = list(self.done)
-            return self.report
-        except KeyboardInterrupt:
-            # Cancel queued points so they don't keep the process
-            # alive after the interrupt; running ones get the signal
-            # themselves when it came from the terminal.
-            self.pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        finally:
-            if self.pool is not None:
-                self.pool.shutdown(wait=False, cancel_futures=True)
+            elif self.delayed:
+                time.sleep(max(0.0, self.delayed[0][0] - now))
+        self.report.outcomes = [outcome for outcome in self.done
+                                if outcome is not None]
+        return self.report
 
-    def _promote_due(self) -> None:
-        now = time.monotonic()
-        while self.delayed and self.delayed[0][0] <= now:
-            _, index = heapq.heappop(self.delayed)
-            self.ready.append(index)
-
-    def _submit_ready(self) -> None:
-        while self.ready:
+    def _hand_out(self) -> None:
+        idle = [worker for worker in range(self.pool.count)
+                if worker not in self.busy]
+        while self.ready and idle:
             index = self.ready.popleft()
-            if not self.begun[index]:
-                self.begun[index] = time.monotonic()
+            self.submits[index] += 1
+            self.begun[index] = self.begun[index] or time.monotonic()
             fn, config = self.tasks[index]
             try:
-                future = self.pool.submit(invoke, fn, config,
-                                          self.submits[index] + 1)
-            except BrokenProcessPool:
-                # The pool died between reaps; treat this point as
-                # crash-lost and retry the submission on a fresh pool.
-                self._respawn([index])
-                continue
-            self.submits[index] += 1
-            self.pending[future] = index
-
-    def _sleep_until_due(self) -> None:
-        if not self.delayed:
-            return
-        pause = self.delayed[0][0] - time.monotonic()
-        if pause > 0:
-            time.sleep(pause)
-
-    def _tick(self) -> Optional[float]:
-        tick: Optional[float] = None
-        if self.policy.timeout_s is not None:
-            tick = min(TICK_S, max(self.policy.timeout_s / 4, 0.01))
-        if self.delayed:
-            until = max(0.001, self.delayed[0][0] - time.monotonic())
-            tick = until if tick is None else min(tick, until)
-        return tick
-
-    # -- result collection -----------------------------------------------
-
-    def _reap(self) -> None:
-        completed, _ = wait(set(self.pending), timeout=self._tick(),
-                            return_when=FIRST_COMPLETED)
-        broken = False
-        crash_lost: List[int] = []
-        for future in completed:
-            index = self.pending.pop(future)
-            self.running_since.pop(future, None)
-            try:
-                value, seconds = future.result()
-            except BrokenProcessPool:
-                broken = True
-                crash_lost.append(index)
-            except Exception as exc:
+                self.pool.send(idle[-1], (fn, config, self.submits[index]))
+            except Exception as exc:  # e.g. a task that does not pickle
                 self._attempt_failed(index, FAILURE_EXCEPTION,
                                      type(exc).__name__, str(exc))
             else:
-                self._complete(index, value, seconds)
-        if broken:
-            # Every other in-flight point is doomed with the pool;
-            # collect them all and re-run on a fresh pool.
-            crash_lost.extend(self.pending.values())
-            self.pending.clear()
-            self.running_since.clear()
-            self._respawn(crash_lost)
-        elif self.policy.timeout_s is not None:
-            # Start timeout clocks for executing points.  The executor
-            # marks futures RUNNING as soon as they enter its call
-            # queue, slightly ahead of real execution, so only the
-            # oldest ``jobs`` running futures are clocked -- at most
-            # that many can truly be executing.
-            now = time.monotonic()
-            slots = self.jobs
-            for future in self.pending:  # insertion = submission order
-                if slots <= 0:
-                    break
-                if future.running():
-                    if future not in self.running_since:
-                        self.running_since[future] = now
-                    slots -= 1
+                self.busy[idle.pop()] = (index, time.monotonic())
+
+    def _wait_s(self) -> Optional[float]:
+        """Seconds until the next deadline or backoff is due."""
+        due = [self.delayed[0][0]] if self.delayed else []
+        if self.policy.timeout_s is not None:
+            due += [since + self.policy.timeout_s
+                    for _, since in self.busy.values()]
+        return max(0.0, min(due) - time.monotonic()) if due else None
+
+    def _collect(self) -> None:
+        for worker in self.pool.ready(list(self.busy), self._wait_s()):
+            index, _ = self.busy.pop(worker)
+            try:
+                status, payload = self.pool.recv(worker)
+            except EOFError:
+                self._crashed(worker, index)
+                continue
+            if status == "interrupt":
+                raise KeyboardInterrupt
+            if status == "error":
+                self._attempt_failed(index, FAILURE_EXCEPTION, *payload)
+            else:
+                value, seconds = payload
+                self._store(PointOutcome(index=index, value=value,
+                                         seconds=seconds,
+                                         attempts=self.submits[index]))
 
     def _check_timeouts(self) -> None:
         limit = self.policy.timeout_s
-        if limit is None or not self.running_since:
+        if limit is None:
             return
         now = time.monotonic()
-        expired = [future for future, since in self.running_since.items()
-                   if now - since > limit]
-        if not expired:
-            return
-        self.report.timeouts += len(expired)
-        for future in expired:
-            index = self.pending.pop(future)
-            self.running_since.pop(future, None)
-            self._attempt_failed(
-                index, FAILURE_TIMEOUT, "PointTimeout",
-                f"exceeded the {limit:g}s per-point wall-clock limit")
-        # A hung worker can only be reclaimed by killing it; that
-        # breaks the pool, so the other in-flight points are re-run
-        # for free on the respawned pool.
-        self._kill_workers()
-        lost = list(self.pending.values())
-        self.pending.clear()
-        self.running_since.clear()
-        self._respawn(lost, charge_budget=False)
+        for worker, (index, since) in list(self.busy.items()):
+            if now - since >= limit:
+                # A hung worker can only be reclaimed by killing it.
+                del self.busy[worker]
+                self._respawn(worker)
+                self.report.timeouts += 1
+                self._attempt_failed(
+                    index, FAILURE_TIMEOUT, "PointTimeout",
+                    f"exceeded the {limit:g}s per-point wall-clock limit")
 
-    def _complete(self, index: int, value: Any, seconds: float) -> None:
-        self._store(PointOutcome(index=index, value=value,
-                                 seconds=seconds,
-                                 attempts=self.submits[index]))
+    def _crashed(self, worker: int, index: int) -> None:
+        """``worker`` died running ``index``: replace it and re-run the
+        point for free while the respawn budget lasts."""
+        self._respawn(worker)
+        self.respawn_budget -= 1
+        self.last_error[index] = (
+            FAILURE_CRASH, "WorkerDied",
+            "worker process died before the point finished")
+        if self.respawn_budget >= 0:
+            self.ready.append(index)
+        else:
+            self._finalize_failure(index)
+
+    def _respawn(self, worker: int) -> None:
+        self.pool.restart(worker)
+        self.report.respawns += 1
 
     def _attempt_failed(self, index: int, kind: str, error: str,
                         message: str) -> None:
@@ -368,57 +452,20 @@ class _PoolSupervisor:
     def _finalize_failure(self, index: int) -> None:
         kind, error, message = self.last_error[index]
         attempts = max(1, self.submits[index])
-        outcome = PointOutcome(
-            index=index, attempts=attempts,
-            failure=PointFailure(
-                index=index, kind=kind, error=error, message=message,
-                attempts=attempts,
-                elapsed_s=time.monotonic() - self.begun[index]))
-        self._store(outcome)
+        failure = PointFailure(
+            index=index, kind=kind, error=error, message=message,
+            attempts=attempts,
+            elapsed_s=time.monotonic() - self.begun[index])
+        self._store(PointOutcome(index=index, attempts=attempts,
+                                 failure=failure))
         if self.policy.fail_fast:
-            raise PointFailureError(outcome.failure)
+            raise PointFailureError(failure)
 
     def _store(self, outcome: PointOutcome) -> None:
-        if self.done[outcome.index] is not None:
-            return
         self.done[outcome.index] = outcome
         self.remaining -= 1
         if self.on_outcome is not None:
             self.on_outcome(outcome)
-
-    # -- pool lifecycle ----------------------------------------------------
-
-    def _respawn(self, lost: Sequence[int],
-                 charge_budget: bool = True) -> None:
-        """Replace the broken pool; requeue or finalize lost points."""
-        self.report.respawns += 1
-        if charge_budget:
-            self.respawn_budget -= 1
-        requeue = self.respawn_budget >= 0
-        for index in lost:
-            self.last_error[index] = (
-                FAILURE_CRASH, "BrokenProcessPool",
-                "worker process died before the point finished")
-            if requeue:
-                self.ready.append(index)
-            else:
-                self._finalize_failure(index)
-        old, self.pool = self.pool, None
-        if old is not None:
-            old.shutdown(wait=False, cancel_futures=True)
-        self.pool = ProcessPoolExecutor(max_workers=self.jobs)
-
-    def _kill_workers(self) -> None:
-        # ``ProcessPoolExecutor`` exposes no public way to preempt a
-        # worker; killing the processes flips the pool into the same
-        # broken state a worker crash produces, which ``_respawn``
-        # already recovers from.
-        processes = getattr(self.pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.kill()
-            except Exception:
-                pass
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:

@@ -3,8 +3,8 @@
 This mirrors :mod:`repro.faults.injector` one layer down: where that
 module crashes *simulated subscribers*, this one crashes the *worker
 processes and tasks* that run them, so the engine's recovery machinery
-(retries, timeouts, pool respawns, failure salvage) can be exercised in
-CI by seed-stable schedules instead of real flakiness.
+(retries, timeouts, worker respawns, failure salvage) can be exercised
+in CI by seed-stable schedules instead of real flakiness.
 
 Wrap any task function in a :class:`FaultyTask`.  Whether a given point
 is cursed -- and with which fault -- is a pure function of
@@ -19,9 +19,10 @@ Fault kinds:
 * ``error`` -- raise :class:`InjectedFault` (the retry path; works
   under any executor).
 * ``crash`` -- ``os._exit`` the worker process without any cleanup,
-  the real shape of an OOM-kill (the ``BrokenProcessPool`` recovery
-  path).  In the parent process (serial executor) it degrades to an
-  ``error`` fault rather than killing the whole run.
+  the real shape of an OOM-kill (the dead-worker recovery path: the
+  worker is respawned and the point re-run).  In the parent process
+  (serial executor) it degrades to an ``error`` fault rather than
+  killing the whole run.
 * ``hang`` -- sleep ``hang_s`` before computing normally (the timeout
   path; only meaningful under the parallel executor with a timeout).
 """

@@ -55,9 +55,6 @@ class RunPolicy:
     #: Replay and keep writing the per-spec checkpoint journal
     #: (:mod:`repro.engine.checkpoint`).
     resume: bool = False
-    #: Pool respawns allowed beyond one per point -- a backstop against
-    #: a pathological task that kills its worker on every attempt.
-    respawn_slack: int = 8
 
     @property
     def attempts(self) -> int:

@@ -4,8 +4,9 @@ Every :func:`repro.engine.spec.execute` call records one
 :class:`EngineStats` into the module-level :data:`telemetry` log; the
 experiment CLI resets the log around each experiment and prints the
 aggregate (points, cache hits, wall-clock, points/sec, plus the
-resilience counters -- retries, timeouts, pool respawns, journal
-resumes, quarantined cache entries, failures) after the table.
+resilience counters -- retries, timeouts, worker respawns (printed as
+"pool respawns"), journal resumes, quarantined cache entries,
+failures) after the table.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class EngineStats:
     retries: int = 0
     #: Points that exceeded the per-point wall-clock limit.
     timeouts: int = 0
-    #: Process-pool respawns after worker crashes or hung-worker kills.
+    #: Worker respawns after worker crashes or hung-worker kills.
     respawns: int = 0
     #: Corrupt cache entries renamed to ``*.corrupt`` this run.
     quarantined: int = 0

@@ -44,8 +44,9 @@ The same project index also replaces v1's curated scoping lists:
   module list.
 * PAR004 flags mutation of module-level state inside functions
   reachable from process-pool entry points (``Point`` task functions,
-  the long-lived shard worker, fuzz case execution) -- mutations via
-  ``global`` are PAR001's jurisdiction and are left to it.
+  the pool's worker loop and point runner, the long-lived shard worker,
+  fuzz case execution) -- mutations via ``global`` are PAR001's
+  jurisdiction and are left to it.
 """
 
 from __future__ import annotations
@@ -220,11 +221,14 @@ HOT_ROOT_PATTERNS: Tuple[str, ...] = (
     "repro.phy.channel.ForwardChannel._complete",
 )
 
-#: PAR004 roots beyond auto-discovered ``Point(fn=...)`` targets.  A
-#: shard worker lives for the whole city run, so module state it
-#: mutates persists across epochs -- and differs from the serial run,
-#: where every shard shares one copy.
+#: PAR004 roots beyond auto-discovered ``Point(fn=...)`` targets: the
+#: pool's worker loop, the engine's point runner and the city's shard
+#: worker.  A worker lives for the whole ``map`` or city run, so module
+#: state it mutates persists across points or epochs -- and differs
+#: from the serial run, where everything shares one copy.
 PAR_ROOT_PATTERNS: Tuple[str, ...] = (
+    "repro.engine.executors.point_runner",
+    "repro.engine.executors.serve",
     "repro.fuzz.runner.run_fuzz_case",
     "repro.shard.shard.ShardSim.*",
     "repro.shard.worker.shard_worker",
@@ -1031,10 +1035,10 @@ class FlowEngine:
                     col=getattr(node, "col_offset", 0),
                     message=f"module-level state {name!r} mutated "
                             f"on the process-pool path (function "
-                            f"reachable from a Point task or a shard "
-                            f"worker); each worker mutates a private "
-                            f"copy -- pass state through the task "
-                            f"config",
+                            f"reachable from a Point task, a pool "
+                            f"worker or a shard worker); each worker "
+                            f"mutates a private copy -- pass state "
+                            f"through the task config",
                     text=text))
         return findings
 

@@ -105,7 +105,7 @@ _RULE_LIST: Tuple[Rule, ...] = (
                 "function",
         rationale="Point.fn must be picklable by reference "
                   "(module-level) to cross the process boundary; "
-                  "lambdas and closures fail inside ProcessPoolExecutor "
+                  "lambdas and closures fail to reach a pool worker "
                   "or silently capture parent state.",
     ),
     Rule(
@@ -115,8 +115,9 @@ _RULE_LIST: Tuple[Rule, ...] = (
         summary="module-level state mutated inside a function "
                 "reachable from a process-pool task",
         rationale="The v2 call graph traces every function reachable "
-                  "from a Point task (engine sweeps, fuzz cases) or a "
-                  "shard worker. Mutating module-level containers "
+                  "from a Point task (engine sweeps, fuzz cases), the "
+                  "worker pool's loop and point runner, or a shard "
+                  "worker. Mutating module-level containers "
                   "there writes to a per-worker copy: results come to "
                   "depend on which process ran which point. Pass "
                   "state through the task config or return it in the "

@@ -11,9 +11,10 @@ directory updates), messages to the shard owning the destination cell.
 Every shard lives for the whole run and is stepped by one function,
 :func:`~repro.shard.worker.step_shards`.  With ``min(jobs, shards)``
 equal to 1 the shards live in this process; otherwise they live in that
-many long-lived worker processes (:class:`ShardWorkers`; shard ``s`` on
-worker ``s % workers``), which receive only their shards' inbound
-envelopes at each barrier and send back the epoch reports.
+many long-lived workers of the engine's worker pool
+(:class:`ShardWorkers`; shard ``s`` on worker ``s % workers``), which
+receive only their shards' inbound envelopes at each barrier and send
+back the epoch reports.
 
 A worker that dies is respawned within the barrier: it replays its
 shards' recorded inbound history and must reproduce every report
@@ -33,13 +34,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import time
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection
-from multiprocessing.process import BaseProcess
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.engine.executors import WorkerPool
 from repro.shard.config import CityConfig
 from repro.shard.envelopes import HANDOFF, canonical_order
 from repro.shard.journal import CityJournal
@@ -104,75 +103,53 @@ def aggregate_counters(reports: List[Dict[str, Any]]
     return total
 
 
-class ShardWorkers:
-    """Long-lived worker processes that hold the city's shards.
+class ShardWorkers(WorkerPool):
+    """The city's shards on an engine :class:`WorkerPool`.
 
-    Shard ``s`` lives on worker ``s % count``.  Workers run the default
-    :mod:`multiprocessing` context (the engine pool's) and exit when
-    their pipe reaches EOF, so a killed coordinator leaves no orphans;
-    :meth:`close` reaps them, which also adds their CPU time to this
-    process's ``RUSAGE_CHILDREN``.
+    Shard ``s`` lives on worker ``s % count``, which builds its shards
+    once (:func:`~repro.shard.worker.shard_worker`).  This layer adds
+    the placement, the history replay of a respawned worker and the
+    digest checks that replay must pass.
     """
 
     def __init__(self, config: CityConfig, count: int):
         self.config = config
-        self.count = count
-        self._processes: List[BaseProcess] = []
-        self._pipes: List[Connection] = []
         #: Per epoch: every shard's report digest, which a respawned
         #: worker's replay must reproduce.
         self._digests: List[List[str]] = []
-        for worker in range(count):
-            process, pipe = self._start(worker)
-            self._processes.append(process)
-            self._pipes.append(pipe)
+        super().__init__(count, shard_worker, "city-shard-worker")
 
     def _shard_ids(self, worker: int) -> List[int]:
         return list(range(worker, self.config.num_shards, self.count))
 
-    def _start(self, worker: int) -> Tuple[BaseProcess, Connection]:
-        pipe, child = multiprocessing.Pipe()
-        inherited = [other for other in self._pipes if not other.closed]
-        process = multiprocessing.Process(
-            target=shard_worker,
-            args=(child, inherited + [pipe], self.config,
-                  self._shard_ids(worker)),
-            name=f"city-shard-worker-{worker}", daemon=True)
-        process.start()
-        # Once only the worker holds this end, EOF on ``pipe`` means the
-        # worker is gone.
-        child.close()
-        return process, pipe
+    def _setup_args(self, worker: int) -> Tuple[Any, ...]:
+        return self.config, self._shard_ids(worker)
 
     def _send(self, worker: int, first: int, epoch: int,
               history: List[List[Envelopes]]) -> None:
         """Ask ``worker`` to step its shards through epochs
         ``first..epoch``, verifying every one before ``epoch``."""
         shard_ids = self._shard_ids(worker)
-        request = (
+        self.send(worker, (
             first,
             [[history[shard_id][k] for shard_id in shard_ids]
              for k in range(first, epoch + 1)],
             [[self._digests[k][shard_id] for shard_id in shard_ids]
-             for k in range(first, epoch)])
-        try:
-            self._pipes[worker].send(request)
-        except OSError:
-            pass  # the worker is gone; the receive sees EOF
+             for k in range(first, epoch)]))
 
-    def _receive(self, worker: int) -> Optional[Reply]:
-        """The worker's reply, or ``None`` if it died."""
+    def _replay(self, worker: int, epoch: int,
+                history: List[List[Envelopes]]) -> Reply:
+        """Respawn the dead ``worker`` and have it replay its shards'
+        history through ``epoch``."""
+        self.restart(worker)
+        self._send(worker, 0, epoch, history)
         try:
-            return self._pipes[worker].recv()
-        except (EOFError, OSError):
-            return None
-
-    def _respawn(self, worker: int) -> None:
-        self._pipes[worker].close()
-        dead = self._processes[worker]
-        dead.kill()
-        dead.join()
-        self._processes[worker], self._pipes[worker] = self._start(worker)
+            return self.recv(worker)
+        except EOFError:
+            raise RuntimeError(
+                f"shard worker {worker} (shards "
+                f"{self._shard_ids(worker)}) died twice in epoch "
+                f"{epoch}; the journal is kept for --resume") from None
 
     def step(self, epoch: int, history: List[List[Envelopes]]
              ) -> Tuple[List[Dict[str, Any]], List[float]]:
@@ -184,16 +161,10 @@ class ShardWorkers:
         reports: List[Dict[str, Any]] = [{}] * self.config.num_shards
         seconds = [0.0] * self.config.num_shards
         for worker in range(self.count):
-            reply = self._receive(worker)
-            if reply is None:
-                self._respawn(worker)
-                self._send(worker, 0, epoch, history)
-                reply = self._receive(worker)
-            if reply is None:
-                raise RuntimeError(
-                    f"shard worker {worker} (shards "
-                    f"{self._shard_ids(worker)}) died twice in epoch "
-                    f"{epoch}; the journal is kept for --resume")
+            try:
+                reply = self.recv(worker)
+            except EOFError:
+                reply = self._replay(worker, epoch, history)
             if isinstance(reply, str):
                 raise CityIntegrityError(reply)
             worker_reports, worker_seconds = reply
@@ -204,16 +175,6 @@ class ShardWorkers:
                 seconds[shard_id] = spent
         self._digests.append([report["digest"] for report in reports])
         return reports, seconds
-
-    def close(self, kill: bool = False) -> None:
-        """Close every pipe and reap every worker.  Idle workers exit on
-        EOF; with ``kill`` busy ones are not waited for."""
-        for pipe in self._pipes:
-            pipe.close()
-        for process in self._processes:
-            if kill:
-                process.kill()
-            process.join()
 
 
 class CityCoordinator:

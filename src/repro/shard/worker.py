@@ -9,24 +9,25 @@ each of ``min(N, shards)`` long-lived worker processes
 function at every barrier, so moving shards into processes changes only
 how envelopes and reports travel.
 
-A worker answers one request per barrier.  A request names a first
-epoch and carries the inbound envelopes of one or more consecutive
-epochs, plus the report digests already received for all but the last
-of them.  The worker steps through every epoch in the request and
-replies with the last one's reports.  A live barrier sends one epoch; a
-worker respawned after a crash is sent the whole history at once, so it
-replays up to the current epoch, and the first replayed report whose
-digest differs becomes its reply instead.  A worker exits when its pipe
-reaches EOF: the coordinator closed it, or died.
+The workers form an engine
+:class:`~repro.engine.executors.WorkerPool`, so each exits when its
+pipe reaches EOF: the coordinator closed it, or died.  A worker answers
+one request per barrier.  A request names a first epoch and carries the
+inbound envelopes of one or more consecutive epochs, plus the report
+digests already received for all but the last of them.  The worker
+steps through every epoch in the request and replies with the last
+one's reports.  A live barrier sends one epoch; a worker respawned
+after a crash is sent the whole history at once, so it replays up to
+the current epoch, and the first replayed report whose digest differs
+becomes its reply instead.
 """
 
 from __future__ import annotations
 
-import signal
 import time
-from multiprocessing.connection import Connection
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
+from repro.engine.executors import Handler
 from repro.shard.config import CityConfig
 from repro.shard.shard import ShardSim
 
@@ -76,28 +77,13 @@ def _advance(shards: Sequence[ShardSim], first: int,
     return reports, seconds
 
 
-def shard_worker(conn: Connection, inherited: Sequence[Connection],
-                 city: CityConfig, shard_ids: Sequence[int]) -> None:
-    """Worker process target: build the shards, then answer requests
-    until EOF.
-
-    ``inherited`` are the coordinator's ends of every worker pipe,
-    including this one's; a forked child holds copies, and closing them
-    is what lets EOF on ``conn`` mean the coordinator is gone.
-    """
-    for other in inherited:
-        other.close()
-    # Ctrl-C reaches the whole process group; the coordinator handles
-    # it and tears the workers down.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+def shard_worker(city: CityConfig, shard_ids: Sequence[int]) -> Handler:
+    """Worker set-up: build the shards once.  The handler answers one
+    request ``(first, inbound, expected)`` per barrier."""
     shards = [ShardSim(city, shard_id) for shard_id in shard_ids]
-    while True:
-        try:
-            first, inbound, expected = conn.recv()
-        except EOFError:
-            return
-        reply = _advance(shards, first, inbound, expected)
-        try:
-            conn.send(reply)
-        except OSError:
-            return
+
+    def step(request: Tuple[int, Sequence[Sequence[Envelopes]],
+                            Sequence[Sequence[str]]]) -> Reply:
+        return _advance(shards, *request)
+
+    return step

@@ -10,6 +10,7 @@ process.
 from __future__ import annotations
 
 import os
+import time
 from typing import Any, Dict
 
 from repro.engine import Point, RunSpec
@@ -18,6 +19,12 @@ from repro.engine import Point, RunSpec
 def square(config: Dict[str, Any]) -> Dict[str, float]:
     value = float(config["x"])
     return {"x": value, "square": value * value}
+
+
+def sleep_then_square(config: Dict[str, Any]) -> Dict[str, float]:
+    """A point that takes ``config["sleep_s"]`` seconds of wall clock."""
+    time.sleep(config["sleep_s"])
+    return square(config)
 
 
 def square_values(count: int) -> list:

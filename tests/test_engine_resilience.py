@@ -3,15 +3,18 @@
 Covers the resilience layer end to end with the deterministic executor
 fault injector (:mod:`repro.engine.faultsim`): worker-crash recovery
 must stay bit-identical to a clean serial run, hung points must be
-killed and retried under a timeout, exhausted points must be salvaged
-as structured failures, and a SIGKILLed sweep must resume from its
-checkpoint journal recomputing only the unfinished points.
+killed and retried under a timeout, a crash or a timeout must cost
+only the worker that ran the point, exhausted points must be salvaged
+as structured failures, and a SIGKILLed sweep must leave no worker
+running and resume from its checkpoint journal recomputing only the
+unfinished points.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -32,12 +35,15 @@ from repro.engine import (
     resolve_policy,
 )
 from tests._resilience_tasks import (
+    exit_once_then_square,
     grid_spec,
     kill_spec,
     raise_keyboard_interrupt,
+    sleep_then_square,
     square,
     square_values,
 )
+from tests.test_shard import running, running_descendants
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -145,6 +151,51 @@ def test_keyboard_interrupt_cancels_queued_points():
         executor.map(tasks)
 
 
+def test_crash_respawns_only_the_dead_worker(tmp_path):
+    """A worker that dies costs only its own point a re-run: the point
+    running beside it finishes on its first attempt."""
+    tasks = [(exit_once_then_square,
+              {"x": 0, "exit_marker": str(tmp_path / "died.marker")}),
+             (sleep_then_square, {"x": 1, "sleep_s": 1.5})]
+
+    report = ParallelExecutor(2).map(tasks)
+
+    assert [outcome.value for outcome in report.outcomes] == \
+        square_values(2)
+    assert report.outcomes[1].attempts == 1
+    assert report.respawns == 1
+
+
+def test_timeout_kills_only_the_hung_worker():
+    """A hung point is killed at its deadline; the point that spans
+    the deadline on the other worker is not re-run."""
+    hung = FaultyTask(fn=square, plan=ExecFaultPlan(hang_rate=1.0))
+    tasks = [(hung, {"x": 0}),
+             (sleep_then_square, {"x": 1, "sleep_s": 0.5}),
+             (sleep_then_square, {"x": 2, "sleep_s": 0.8})]
+
+    report = ParallelExecutor(2).map(
+        tasks, policy=RunPolicy(timeout_s=1.0, retries=1, backoff_s=0.0))
+
+    assert [outcome.value for outcome in report.outcomes] == \
+        square_values(3)
+    assert report.timeouts == 1
+    assert [outcome.attempts for outcome in report.outcomes] == [2, 1, 1]
+
+
+def test_unpicklable_task_is_salvaged_not_raised():
+    """A task that cannot reach a worker fails as that point's
+    exception; the other points still run."""
+    tasks = [(square, {"x": 0}), (lambda config: config, {"x": 1})]
+
+    report = ParallelExecutor(2).map(tasks)
+
+    assert report.outcomes[0].value == square({"x": 0})
+    failure = report.outcomes[1].failure
+    assert failure is not None and failure.kind == "exception"
+    assert report.respawns == 0
+
+
 # -- kill -> --resume ------------------------------------------------------
 
 
@@ -188,6 +239,39 @@ def test_sigkilled_sweep_resumes_from_journal(tmp_path, monkeypatch):
     assert "5 resumed" in result.stats.format()
     # A cleanly finished sweep discards its journal.
     assert os.listdir(journal_dir) == []
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="finds the pool workers in /proc")
+def test_sigkilled_sweep_leaves_no_orphan_workers(tmp_path):
+    """kill -9 a ``--jobs 2`` sweep: its workers see EOF and exit."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"),
+               REPRO_CACHE="0",
+               REPRO_JOURNAL_DIR=str(tmp_path / "journal"))
+    victim = subprocess.Popen(
+        [sys.executable, "-m", "repro", "sweep",
+         "--loads", "0.3,0.6,0.9", "--seeds", "1,2,3,4",
+         "--cycles", "2000", "--warmup", "60", "--jobs", "2",
+         "--resume", "--json"],
+        cwd=REPO_ROOT, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    try:
+        workers = []
+        deadline = time.time() + 60
+        while len(workers) < 2 and time.time() < deadline \
+                and victim.poll() is None:
+            time.sleep(0.05)
+            workers = running_descendants(victim.pid)
+        assert len(workers) >= 2, workers
+    finally:
+        victim.send_signal(signal.SIGKILL)
+        victim.wait(timeout=60)
+    deadline = time.time() + 30
+    while any(map(running, workers)) and time.time() < deadline:
+        time.sleep(0.05)
+    assert not any(map(running, workers)), \
+        "a sweep worker outlived its killed parent"
 
 
 def test_journal_skips_torn_and_foreign_lines(tmp_path):

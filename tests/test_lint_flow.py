@@ -272,6 +272,32 @@ class TestReachability:
         assert "SEEN" in report.findings[0].message
         assert "shard worker" in report.findings[0].message
 
+    def test_par004_engine_point_runner_is_a_root(self):
+        # Engine workers run every point through the handler that
+        # point_runner builds; a helper it calls is in scope.
+        fixture = (
+            "src/repro/engine/executors.py",
+            "ATTEMPTS = []\n"
+            "\n"
+            "\n"
+            "def note(attempt):\n"
+            "    ATTEMPTS.append(attempt)\n"
+            "\n"
+            "\n"
+            "def point_runner():\n"
+            "    def run_point(request):\n"
+            "        fn, config, attempt = request\n"
+            "        note(attempt)\n"
+            "        return fn(config)\n"
+            "\n"
+            "    return run_point\n",
+        )
+        assert rules_of(check_source(*reversed(fixture))) == []
+        report = check_project([fixture])
+        assert rules_of(report) == ["PAR004"]
+        assert report.findings[0].line == 5
+        assert "ATTEMPTS" in report.findings[0].message
+
     def test_par004_follows_super_calls(self):
         # ShardSim.* is a root; the mutation sits in the base class
         # constructor, which only super().__init__() reaches.
