@@ -15,6 +15,7 @@ exists.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import CellConfig
@@ -29,6 +30,7 @@ from repro.faults.schedule import (
 )
 from repro.metrics import CellStats
 from repro.phy import timing
+from repro.phy.channel import DeliveryCallback, Transmission
 from repro.phy.errors import OutageModel
 from repro.sim.core import Simulator
 
@@ -52,8 +54,6 @@ class FaultInjector:
         self._fade_links: Dict[int, object] = {}
         #: link -> absolute time its last fade window closes.
         self._fade_until: Dict[int, float] = {}
-        #: subscriber name -> cf-storm windows (absolute start, end).
-        self._storm_windows: Dict[str, List[Tuple[float, float]]] = {}
         self._arm()
 
     # -- arming ----------------------------------------------------------
@@ -82,12 +82,9 @@ class FaultInjector:
                                      f, subs, until))
             elif spec.kind == KIND_CF_STORM:
                 for sub in targets:
-                    self._storm_windows.setdefault(
-                        sub.name, []).append((at, end))
+                    self._storm_gate(sub).add(at, end)
                 self.sim.call_at(at, lambda f=spec:
                                  self._note(f, "*"))
-        if self._storm_windows:
-            self._wrap_storm_receivers()
 
     def _note(self, spec: FaultSpec, who: str) -> None:
         self.stats.faults_injected += 1
@@ -144,27 +141,66 @@ class FaultInjector:
 
     # -- control-field storms ---------------------------------------------
 
-    def _wrap_storm_receivers(self) -> None:
-        """Interpose on targeted subscribers' forward-link callbacks.
+    def _storm_gate(self, sub) -> "StormGate":
+        """The subscriber's storm gate, installed by the first storm.
 
-        A storm destroys control-field codewords on the victim's link;
-        data slots in the same window are left alone (the paper's CF
-        sets are longer and more exposed than single data packets, and
-        the interesting failure mode is losing the *schedule*).
+        Later injectors (runtime fault ops, journal replay) find the gate
+        on the forward callback and add their windows to it, so a
+        delivery costs the same however many bursts the cell was given.
         """
-        for sub in self.subscribers:
-            windows = self._storm_windows.get(sub.name)
-            if not windows:
-                continue
-            channel = sub.forward_channel
-            original = channel._receivers[sub.ein][1]
+        channel = sub.forward_channel
+        gate = channel.receivers[sub.ein][1]
+        if not isinstance(gate, StormGate):
+            gate = StormGate(gate, self.stats)
+            channel.attach(sub.ein, sub.forward_link, gate)
+        return gate
 
-            def stormed(transmission, ok, _orig=original, _win=windows):
-                if (ok and transmission.kind in ("cf1", "cf2")
-                        and any(start <= transmission.start < end
-                                for start, end in _win)):
-                    self.stats.cf_storm_drops += 1
-                    ok = False
-                _orig(transmission, ok)
 
-            channel.attach(sub.ein, sub.forward_link, stormed)
+class StormGate:
+    """Loses a subscriber's control-field sets inside storm windows.
+
+    A storm destroys control-field codewords on the victim's link; data
+    slots in the same window are left alone (the paper's CF sets are
+    longer and more exposed than single data packets, and the
+    interesting failure mode is losing the *schedule*).
+
+    A CF set is lost iff its start lies in the union of the gate's
+    windows, and ``stats.cf_storm_drops`` counts each lost delivery
+    once.  The channel has already made the link's draw: a set the link
+    lost passes through uncounted.  The union is kept as sorted,
+    disjoint half-open intervals.  The base station is the forward
+    channel's only transmitter, so start times never decrease and a
+    window that ended before the latest CF set started is dropped.
+    """
+
+    __slots__ = ("deliver", "stats", "_starts", "_ends")
+
+    def __init__(self, deliver: DeliveryCallback, stats: CellStats):
+        self.deliver = deliver
+        self.stats = stats
+        self._starts: List[float] = []
+        self._ends: List[float] = []
+
+    def add(self, start: float, end: float) -> None:
+        """Merge the window ``[start, end)`` into the union."""
+        starts, ends = self._starts, self._ends
+        # [lo, hi) are the windows that overlap or touch the new one.
+        lo = bisect_left(ends, start)
+        hi = bisect_right(starts, end)
+        if lo < hi:
+            start = min(start, starts[lo])
+            end = max(end, ends[hi - 1])
+        starts[lo:hi] = [start]
+        ends[lo:hi] = [end]
+
+    def __call__(self, transmission: Transmission, ok: bool) -> None:
+        if ok and transmission.kind in ("cf1", "cf2"):
+            start = transmission.start
+            starts, ends = self._starts, self._ends
+            while ends and ends[0] <= start:
+                del starts[0]
+                del ends[0]
+            if starts and starts[0] <= start:
+                self.stats.cf_storm_drops += 1
+                ok = False
+        self.deliver(transmission, ok)

@@ -7,21 +7,24 @@ value combination), and children expose the mutation verbs
 (``inc``/``set``/``observe``).
 
 Cost discipline: publishing sites fetch children through
-``registry.counter(...).labels(...)`` at publish time.  When the
-registry is *disabled*, ``labels()`` returns the shared
-:data:`NULL_CHILD` singleton whose verbs are empty methods -- the entire
-instrumentation path collapses to a couple of dictionary lookups and
-no-op calls, so always-on publishing sites (engine telemetry, the
-invariant monitor) are effectively free unless someone asked for
-metrics.  The process-global default registry starts *disabled*; the
-CLIs enable it under ``--metrics``.
+``registry.counter(...).labels(...)``.  When the registry is
+*disabled*, ``labels()`` returns the shared :data:`NULL_CHILD`
+singleton whose verbs are empty methods -- the entire instrumentation
+path collapses to a couple of dictionary lookups and no-op calls, so
+always-on publishing sites (engine telemetry, the invariant monitor)
+are effectively free unless someone asked for metrics.  Per-cycle
+publishers hold a :class:`CachedChild` instead, which resolves its
+child once and then costs one call.  The process-global default
+registry starts *disabled*; the CLIs enable it under ``--metrics``.
 """
 
 from __future__ import annotations
 
 import re
 import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -228,6 +231,8 @@ class MetricsRegistry:
         self.enabled = enabled
         self._families: Dict[str, MetricFamily] = {}
         self._lock = threading.Lock()
+        #: Bumped by :meth:`reset`, so cached children resolve again.
+        self.generation = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -243,6 +248,7 @@ class MetricsRegistry:
         """Drop every family (children and all)."""
         with self._lock:
             self._families.clear()
+            self.generation += 1
 
     # -- family construction ----------------------------------------------
 
@@ -322,6 +328,39 @@ class MetricsRegistry:
                     row["value"] = child.value
                 out.append(row)
         return out
+
+
+class CachedChild:
+    """A publisher's handle on one child: resolved once, then reused.
+
+    ``resolve`` fetches the child the ordinary way, e.g. ``lambda:
+    registry.counter(name, help, names).labels(*values)``.  Calling the
+    handle returns the cached child while the registry is enabled and
+    has not been reset since the fetch; otherwise it resolves again.  So
+    a disabled registry records nothing (its :data:`NULL_CHILD` is never
+    kept), and after :meth:`MetricsRegistry.reset` the next publish
+    re-creates the family, exactly as an uncached fetch would.
+    """
+
+    __slots__ = ("registry", "resolve", "_child", "_generation")
+
+    def __init__(self, registry: MetricsRegistry,
+                 resolve: Callable[[], Any]):
+        self.registry = registry
+        self.resolve = resolve
+        self._child = NULL_CHILD
+        self._generation = -1
+
+    def __call__(self) -> Any:
+        registry = self.registry
+        if registry.enabled and self._generation == registry.generation:
+            return self._child
+        generation = registry.generation
+        child = self.resolve()
+        if child is not NULL_CHILD:
+            self._child = child
+            self._generation = generation
+        return child
 
 
 #: The process-global registry: disabled until a CLI asks for metrics.

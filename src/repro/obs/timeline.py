@@ -29,7 +29,11 @@ from typing import Dict, List, Optional
 
 from repro.core.cell import CellRun
 from repro.core.frames import SLOT_DATA, UplinkFrame
-from repro.obs.registry import MetricsRegistry, default_registry
+from repro.obs.registry import (
+    CachedChild,
+    MetricsRegistry,
+    default_registry,
+)
 from repro.phy import timing
 from repro.phy.channel import Transmission
 
@@ -281,9 +285,12 @@ class TimelineRecorder:
 class _TimelineMetrics:
     """Publishes each sample into a metrics registry.
 
-    Children are fetched at publish time, so a disabled registry costs
-    a handful of no-op calls per cycle and an enabled one reflects the
-    live run (gauges track the latest cycle; counters accumulate).
+    Each child is resolved the first time it is published into an
+    enabled registry and reused after that (see
+    :class:`~repro.obs.registry.CachedChild`), so an enabled registry
+    costs about two calls per metric per cycle and a disabled one a
+    single flag check.  Gauges track the latest cycle; counters
+    accumulate.
 
     ``labels`` (e.g. ``{"cell": "cell0"}``) prefix every family's label
     set, letting several recorders -- the service mode runs one per
@@ -297,60 +304,64 @@ class _TimelineMetrics:
         labels = dict(labels or {})
         self._names = tuple(labels)
         self._values = tuple(str(value) for value in labels.values())
+        gauge, counter = registry.gauge, registry.counter
+        self._cycle = self._child(
+            gauge, "osu_cycle", "Current notification cycle")
+        self._queue_depth = self._child(
+            gauge, "osu_uplink_queue_depth",
+            "Queued uplink fragments across data subscribers")
+        self._backlog = self._child(
+            gauge, "osu_reservation_backlog",
+            "Outstanding reverse-slot demands at the base station")
+        self._forward_backlog = self._child(
+            gauge, "osu_forward_backlog", "Queued downlink packets")
+        self._registered_data = self._child(
+            gauge, "osu_registered_users", "Registered subscribers",
+            service="data")
+        self._registered_gps = self._child(
+            gauge, "osu_registered_users", "Registered subscribers",
+            service="gps")
+        self._utilization = self._child(
+            gauge, "osu_slot_utilization",
+            "Reverse data slots used / available (settled cycles)")
+        self._collisions = self._child(
+            counter, "osu_uplink_collisions_total",
+            "Reverse-channel collisions")
+        self._registrations = self._child(
+            counter, "osu_registrations_total", "Registrations completed")
+        self._evictions = self._child(
+            counter, "osu_lease_evictions_total",
+            "Liveness-lease evictions")
+        self._margins = self._child(
+            registry.histogram, "osu_gps_deadline_margin_seconds",
+            "4s deadline minus observed GPS inter-access gap",
+            buckets=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0))
+        self._min_margin = self._child(
+            gauge, "osu_gps_min_margin_seconds",
+            "Worst GPS deadline margin this cycle")
 
-    def _gauge(self, name: str, help: str):
-        return self.registry.gauge(name, help, self._names) \
-            .labels(*self._values)
-
-    def _counter(self, name: str, help: str):
-        return self.registry.counter(name, help, self._names) \
-            .labels(*self._values)
+    def _child(self, family, name: str, help: str,
+               service: Optional[str] = None, **kwargs) -> CachedChild:
+        names, values = self._names, self._values
+        if service is not None:
+            names, values = names + ("service",), values + (service,)
+        return CachedChild(
+            self.registry,
+            lambda: family(name, help, names, **kwargs).labels(*values))
 
     def publish(self, point: TimelinePoint) -> None:
-        registry = self.registry
-        if not registry.enabled:
+        if not self.registry.enabled:
             return
-        self._gauge(
-            "osu_cycle", "Current notification cycle").set(point.cycle)
-        self._gauge(
-            "osu_uplink_queue_depth",
-            "Queued uplink fragments across data subscribers",
-        ).set(point.uplink_queue_depth)
-        self._gauge(
-            "osu_reservation_backlog",
-            "Outstanding reverse-slot demands at the base station",
-        ).set(point.reservation_backlog)
-        self._gauge(
-            "osu_forward_backlog",
-            "Queued downlink packets").set(point.forward_backlog)
-        registered = registry.gauge(
-            "osu_registered_users", "Registered subscribers",
-            self._names + ("service",))
-        registered.labels(*(self._values + ("data",))) \
-            .set(point.registered_data)
-        registered.labels(*(self._values + ("gps",))) \
-            .set(point.registered_gps)
-        self._gauge(
-            "osu_slot_utilization",
-            "Reverse data slots used / available (settled cycles)",
-        ).set(point.slot_utilization)
-        self._counter(
-            "osu_uplink_collisions_total",
-            "Reverse-channel collisions").inc(point.uplink_collisions)
-        self._counter(
-            "osu_registrations_total",
-            "Registrations completed").inc(point.registrations)
-        self._counter(
-            "osu_lease_evictions_total",
-            "Liveness-lease evictions").inc(point.lease_evictions)
+        self._cycle().set(point.cycle)
+        self._queue_depth().set(point.uplink_queue_depth)
+        self._backlog().set(point.reservation_backlog)
+        self._forward_backlog().set(point.forward_backlog)
+        self._registered_data().set(point.registered_data)
+        self._registered_gps().set(point.registered_gps)
+        self._utilization().set(point.slot_utilization)
+        self._collisions().inc(point.uplink_collisions)
+        self._registrations().inc(point.registrations)
+        self._evictions().inc(point.lease_evictions)
         if point.gps_min_margin_s is not None:
-            registry.histogram(
-                "osu_gps_deadline_margin_seconds",
-                "4s deadline minus observed GPS inter-access gap",
-                self._names,
-                buckets=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
-            ).labels(*self._values).observe(point.gps_min_margin_s)
-            self._gauge(
-                "osu_gps_min_margin_seconds",
-                "Worst GPS deadline margin this cycle",
-            ).set(point.gps_min_margin_s)
+            self._margins().observe(point.gps_min_margin_s)
+            self._min_margin().set(point.gps_min_margin_s)

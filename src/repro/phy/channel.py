@@ -235,22 +235,24 @@ class ForwardChannel:
                  symbol_rate: float = FORWARD_SYMBOL_RATE):
         self.sim = sim
         self.symbol_rate = symbol_rate
-        self._receivers: Dict[Any, "tuple[Link, DeliveryCallback]"] = {}
+        #: receiver id -> (link, callback) as attached; change it only
+        #: through :meth:`attach` and :meth:`detach`.
+        self.receivers: Dict[Any, "tuple[Link, DeliveryCallback]"] = {}
         self.total_broadcasts = 0
 
     def attach(self, receiver_id: Any, link: Link,
                callback: DeliveryCallback) -> None:
-        self._receivers[receiver_id] = (link, callback)
+        self.receivers[receiver_id] = (link, callback)
 
     def detach(self, receiver_id: Any) -> None:
-        self._receivers.pop(receiver_id, None)
+        self.receivers.pop(receiver_id, None)
 
     def broadcast(self, transmission: Transmission) -> Transmission:
         """Broadcast starting now; per-receiver delivery at end time."""
         if transmission.start != self.sim.now:
             raise ValueError("transmissions must start at the current time")
         self.total_broadcasts += 1
-        receivers = list(self._receivers.items())
+        receivers = list(self.receivers.items())
         self.sim.call_at(transmission.end,
                          lambda: self._complete(transmission, receivers))
         return transmission

@@ -38,7 +38,7 @@ from repro.core.config import CellConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSpec, parse_faults
 from repro.obs.export import config_digest
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import CachedChild, MetricsRegistry
 from repro.obs.timeline import TimelineRecorder
 from repro.phy import timing
 from repro.serve import stabilize
@@ -130,13 +130,21 @@ class CellService:
         self._pending_ops: List[Dict[str, Any]] = []
         self._pending_joins = {"data": 0, "gps": 0}
         self._stall_s = 0.0
-        self._injectors: List[FaultInjector] = []
         self._base_uplink: Optional[float] = None
         self._base_forward: Optional[float] = None
         self._resumed_at_cycle = 0
         self._violations_at_resume = 0
         self.run: Optional[CellRun] = None
         self.recorder: Optional[TimelineRecorder] = None
+        # Published every cycle, so resolved once (see CachedChild).
+        self._cycles_total = CachedChild(
+            self.registry, lambda: self.registry.counter(
+                "osu_serve_cycles_total", "Completed notification cycles",
+                ("cell",)).labels(self.name))
+        self._lag_gauge = CachedChild(
+            self.registry, lambda: self._gauge(
+                "osu_serve_lag_seconds",
+                "Real seconds behind the pacing schedule"))
 
     # -- metrics helpers ---------------------------------------------------
 
@@ -275,9 +283,7 @@ class CellService:
             self.probe["report"] = stabilize.assess(
                 self.history, self.probe["burst_end_cycle"],
                 self.probe["window"])
-        self.registry.counter(
-            "osu_serve_cycles_total", "Completed notification cycles",
-            ("cell",)).labels(self.name).inc()
+        self._cycles_total().inc()
         if journal:
             if self.cancelled.is_set():
                 raise Cancelled()  # the replacement owns the tail now
@@ -464,10 +470,11 @@ class CellService:
             for raw in op["specs"])
         shim = replace(self.run.config, faults=specs,
                        check_invariants=False)
-        self._injectors.append(FaultInjector(
-            self.run.sim, shim,
-            self.run.data_users + self.run.gps_units,
-            self.run.stats))
+        # The injector lives on in its pending simulator events only;
+        # its storm windows join each target's one StormGate.
+        FaultInjector(self.run.sim, shim,
+                      self.run.data_users + self.run.gps_units,
+                      self.run.stats)
         if count:
             self._count("fault_ops")
         window = op.get("probe_window")
@@ -482,9 +489,7 @@ class CellService:
 
     def note_lag(self, lag_s: float) -> None:
         self.lag_s = max(0.0, lag_s)
-        self._gauge("osu_serve_lag_seconds",
-                    "Real seconds behind the pacing schedule") \
-            .set(self.lag_s)
+        self._lag_gauge().set(self.lag_s)
         transition = self.admission.update(lag_s)
         if transition is not None:
             # Applied (and journaled) at the next cycle boundary so

@@ -481,3 +481,59 @@ class TestChaosExperiment:
         assert all(row[column] == 0 for row in result.rows)
         recoveries = result.headers.index("recoveries")
         assert all(row[recoveries] > 0 for row in result.rows)
+
+
+class TestStormSemantics:
+    """Control-field storm counts, pinned on a perfect channel.
+
+    A storm ``@a+d`` loses CF1 of cycles a+1..a+d and CF2 of cycles
+    a..a+d-1: 2d lost deliveries per target, of which the d CF1 sets
+    are the ones a data user is listening to.
+    """
+
+    @staticmethod
+    def _storm(num_data_users, schedule):
+        run = run_cell_detailed(CellConfig(
+            num_data_users=num_data_users, num_gps_users=0, cycles=30,
+            warmup_cycles=0, seed=1, faults=parse_faults(schedule)))
+        return run.stats.cf_storm_drops, run.stats.cf_losses
+
+    def test_one_window(self):
+        assert self._storm(1, "cf_storm:data-0@10+3") == (6, 3)
+
+    def test_overlapping_windows_lose_each_set_once(self):
+        assert self._storm(
+            1, "cf_storm:data-0@10+3;cf_storm:data-0@12+2") == (8, 4)
+
+    def test_wildcard_storms_every_subscriber(self):
+        assert self._storm(3, "cf_storm:*@10+3") == (18, 10)
+
+    def test_gate_matches_a_scan_over_every_window(self):
+        from types import SimpleNamespace
+
+        from repro.faults.injector import StormGate
+        from repro.phy.channel import Transmission
+
+        rng = random.Random(5)
+        heard = []
+        stats = SimpleNamespace(cf_storm_drops=0)
+        gate = StormGate(lambda transmission, ok: heard.append(ok), stats)
+        windows = []
+        now = 0.0
+        drops = 0
+        for _ in range(400):
+            if rng.random() < 0.3:
+                # Like a runtime op: the new window opens after now.
+                start = now + rng.choice((0.5, 1.0, 2.0, 5.0))
+                window = (start, start + rng.choice((0.5, 1.0, 3.0)))
+                windows.append(window)
+                gate.add(*window)
+            now += rng.choice((0.0, 0.25, 0.5, 1.0))
+            ok = rng.random() < 0.9
+            kind = rng.choice(("cf1", "cf2", "data"))
+            gate(Transmission("bs", None, now, 0.1, kind=kind), ok)
+            stormed = kind != "data" and any(
+                start <= now < end for start, end in windows)
+            assert heard.pop() == (ok and not stormed)
+            drops += ok and stormed
+        assert stats.cf_storm_drops == drops > 0

@@ -9,6 +9,7 @@ the restart boundary.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
@@ -18,6 +19,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,7 +30,10 @@ from repro.engine.checkpoint import (
     JournalLockedError,
     SweepJournal,
 )
+from repro.faults.injector import FaultInjector
+from repro.obs.registry import MetricsRegistry
 from repro.phy import timing
+from repro.phy.channel import Transmission
 from repro.serve import (
     AdmissionController,
     CellService,
@@ -582,6 +587,159 @@ class TestSupervisor:
         runner.join(timeout=10.0)
         sup.join(timeout=10.0)
         assert replacement.state == STOPPED
+
+
+# -- fault history: per-cycle cost and memory stay flat ---------------------
+
+
+def dense_cell(**overrides) -> CellConfig:
+    """The paper's maximum population: 14 data + 8 GPS users."""
+    defaults = dict(num_data_users=14, num_gps_users=8,
+                    liveness_lease_cycles=8, seed=3)
+    defaults.update(overrides)
+    return CellConfig(**defaults)
+
+
+class TestFaultHistory:
+    def _forward_calls(self, tmp_path, storms):
+        """Python calls made by one delivery to data-0's forward callback
+        after ``storms`` runtime storms, one per cycle, and 5 more cycles.
+
+        The probe is a CF set after every storm window, in a frame the
+        subscriber ignores, so what is counted is the storm filtering.
+        """
+        svc = CellService("cell0", dense_cell(),
+                          serve_config(tmp_path, name=f"s{storms}"))
+        svc.start(resume=False)
+        for _ in range(storms):
+            svc.enqueue_faults("cf_storm:*@1+1")
+            svc.step_cycle()
+        for _ in range(5):
+            svc.step_cycle()
+        sub = svc.run.data_users[0]
+        deliver = sub.forward_channel.receivers[sub.ein][1]
+        probe = Transmission("bs", SimpleNamespace(kind="probe"),
+                             svc.run.sim.now, 0.0, kind="cf1")
+        calls = []
+        sys.setprofile(lambda frame, event, arg:
+                       calls.append(event) if event == "call" else None)
+        try:
+            deliver(probe, True)
+        finally:
+            sys.setprofile(None)
+        svc.shutdown()
+        return len(calls)
+
+    def test_storm_cost_does_not_grow_with_history(self, tmp_path):
+        one = self._forward_calls(tmp_path, 1)
+        many = self._forward_calls(tmp_path, 200)
+        assert abs(many - one) <= 2, (one, many)
+
+    def test_runtime_injectors_are_released(self, tmp_path):
+        svc = CellService("cell0", dense_cell(), serve_config(tmp_path))
+        svc.start(resume=False)
+        for _ in range(50):
+            svc.enqueue_faults("cf_storm:*@1+1;fade:gps-0@1+2*0.9;"
+                               "crash:data-1@1;restart:data-1@2")
+            svc.step_cycle()
+        for _ in range(10):
+            svc.step_cycle()
+        gc.collect()
+        live = [obj for obj in gc.get_objects()
+                if isinstance(obj, FaultInjector)
+                and obj.sim is svc.run.sim]
+        svc.shutdown()
+        assert live == []
+
+    def test_storm_history_is_pinned(self, tmp_path):
+        """100 overlapping runtime bursts; the counts are the ones the
+        per-injector storm closures produced before the storm gate."""
+        svc = CellService("cell0", dense_cell(
+            load_index=0.8, eviction_backoff_jitter_cycles=2),
+            serve_config(tmp_path))
+        svc.start(resume=False)
+        for cycle in range(300):
+            if cycle % 3 == 0:
+                svc.enqueue_faults(f"cf_storm:*@{cycle % 2}+1;"
+                                   f"cf_storm:data-{cycle % 14}@0+2")
+            svc.step_cycle()
+        drops = svc.run.stats.cf_storm_drops
+        counters = svc._sim_counters()
+        svc.shutdown()
+        assert drops == 4600
+        assert counters == {
+            "registration_attempts": 1280,
+            "registrations_completed": 95,
+            "lease_evictions": 83,
+            "evictions_detected": 41,
+            "invariant_violations": 0,
+            "faults_injected": 200,
+            "cf_losses": 2299,
+            "uplink_transmissions": 3844,
+            "uplink_collisions": 1389,
+        }
+
+
+class _Unresolved(MetricsRegistry):
+    """Every read of ``generation`` is new, so no publisher reuses a
+    child: each publish resolves its children afresh, as publishers did
+    before they cached them."""
+
+    def __init__(self, enabled: bool = True):
+        self._reads = 0
+        super().__init__(enabled)
+
+    @property
+    def generation(self) -> int:
+        self._reads += 1
+        return self._reads
+
+    @generation.setter
+    def generation(self, value: int) -> None:
+        pass
+
+
+#: case -> (registry enabled at start, what happens before cycle 7).
+LIFECYCLES = {
+    "enabled-mid-run": (False, MetricsRegistry.enable),
+    "disabled-mid-run": (True, MetricsRegistry.disable),
+    "reset-mid-run": (True, MetricsRegistry.reset),
+}
+
+
+def _lifecycle(tmp_path, registry, event):
+    svc = CellService("cell0", small_cell(), serve_config(tmp_path),
+                      registry=registry)
+    svc.start(resume=False)
+    for cycle in range(1, 13):
+        if cycle == 7:
+            event(registry)
+        svc.step_cycle()
+        svc.note_lag(0.001 * cycle)
+    svc.shutdown()
+    return svc.recorder.points, registry.rows()
+
+
+@pytest.mark.parametrize("case", sorted(LIFECYCLES))
+def test_cached_metric_children_follow_registry_lifecycle(tmp_path, case):
+    enabled, event = LIFECYCLES[case]
+    points, rows = _lifecycle(tmp_path / "cached",
+                              MetricsRegistry(enabled=enabled), event)
+    _points, uncached = _lifecycle(tmp_path / "uncached",
+                                   _Unresolved(enabled=enabled), event)
+    assert rows == uncached
+    values = {(row["name"], row["labels"].get("service")): row.get("value")
+              for row in rows}
+    # Six cycles are published: 7-12, or 1-6 when disabled mid-run.
+    published = points[:6] if case == "disabled-mid-run" else points[6:]
+    assert values[("osu_serve_cycles_total", None)] == 6
+    assert values[("osu_serve_lag_seconds", None)] \
+        == (0.006 if case == "disabled-mid-run" else 0.012)
+    assert values[("osu_cycle", None)] == published[-1].cycle
+    assert values[("osu_uplink_collisions_total", None)] \
+        == sum(point.uplink_collisions for point in published)
+    assert values[("osu_registered_users", "data")] \
+        == published[-1].registered_data
 
 
 # -- control plane ------------------------------------------------------------
