@@ -2,7 +2,8 @@
 
 Every figure in the paper's evaluation section is computed from the
 fields collected here; the accessor methods at the bottom map one-to-one
-onto the figures (see DESIGN.md section 4).
+onto the figures (see DESIGN.md section 4).  No summary keeps its
+samples, so a cell's statistics stay the same size however long it runs.
 """
 
 from __future__ import annotations
@@ -10,21 +11,20 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.metrics.fairness import jain_fairness_index
 
 
 class SummaryStats:
-    """Streaming summary (count/mean/std/min/max) with retained samples."""
+    """Streaming summary: count, mean, std, min and max; no samples."""
 
-    def __init__(self, keep_samples: bool = True):
+    def __init__(self) -> None:
         self.count = 0
         self._mean = 0.0
         self._m2 = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        self.samples: Optional[List[float]] = [] if keep_samples else None
 
     def push(self, value: float) -> None:
         value = float(value)
@@ -34,8 +34,6 @@ class SummaryStats:
         self._m2 += delta * (value - self._mean)
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
-        if self.samples is not None:
-            self.samples.append(value)
 
     @property
     def mean(self) -> float:
@@ -49,29 +47,27 @@ class SummaryStats:
     def std(self) -> float:
         return math.sqrt(self.variance)
 
-    def percentile(self, q: float) -> float:
-        """Empirical quantile ``q`` in [0, 1] (needs retained samples)."""
-        if self.samples is None:
-            raise ValueError("samples were not retained")
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        index = min(len(ordered) - 1,
-                    max(0, math.ceil(q * len(ordered)) - 1))
-        return ordered[index]
-
-    def fraction_at_most(self, threshold: float) -> float:
-        """Fraction of samples <= threshold (needs retained samples)."""
-        if self.samples is None:
-            raise ValueError("samples were not retained")
-        if not self.samples:
-            return 0.0
-        return (sum(1 for sample in self.samples if sample <= threshold)
-                / len(self.samples))
-
     def __repr__(self) -> str:
         return (f"SummaryStats(count={self.count}, mean={self.mean:.4g}, "
                 f"std={self.std:.4g}, min={self.min}, max={self.max})")
+
+
+class CountedStats(SummaryStats):
+    """A summary that also counts each value: for whole-cycle latencies,
+    whose few distinct values make :meth:`fraction_at_most` exact."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.counts: Dict[float, int] = defaultdict(int)
+
+    def push(self, value: float) -> None:
+        super().push(value)
+        self.counts[float(value)] += 1
+
+    def fraction_at_most(self, threshold: float) -> float:
+        """Fraction of values <= ``threshold`` (0.0 when empty)."""
+        return sum(count for value, count in self.counts.items()
+                   if value <= threshold) / max(self.count, 1)
 
 
 @dataclass
@@ -124,8 +120,8 @@ class CellStats:
 
     # -- registration (not warmup-gated) -------------------------------------
     registration_attempts: int = 0
-    registration_latency_cycles: SummaryStats = field(
-        default_factory=SummaryStats)
+    registration_latency_cycles: CountedStats = field(
+        default_factory=CountedStats)
     registrations_completed: int = 0
     registrations_failed: int = 0
     #: Admission failures, split by cause so chaos tables can report

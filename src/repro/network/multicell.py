@@ -28,7 +28,8 @@ handoffs for cells outside the block into envelopes.
 
 Every random draw comes from a stream named by (seed, cell) or (seed,
 EIN, hop count), and message ids are ``ein * 2**20 + counter``, so a
-subscriber's workload is the same whichever group hosts it.
+subscriber's workload is the same whichever group hosts it.  A group
+keeps no state per past hop or per delivered message.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from repro.sim import RandomStreams, Simulator
 from repro.traffic.messages import Message, PoissonMessageSource
 
 if TYPE_CHECKING:
+    from repro.obs.registry import HistogramChild
     from repro.shard.config import CityConfig
 
 #: Deterministic message ids: ``ein * 2**20 + counter``.
@@ -64,6 +66,9 @@ if TYPE_CHECKING:
 #: on shard topology -- so the engine overwrites every id with this
 #: per-subscriber scheme before the message enters the MAC.
 _MSG_ID_STRIDE = 1 << 20
+
+#: Bucket bounds of ``osu_network_end_to_end_delay_seconds``, in seconds.
+DELAY_BUCKETS = (1.0, 2.5, 5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0)
 
 
 @dataclass
@@ -165,8 +170,12 @@ class MultiCellNetwork:
         #: Messages waiting for their destination to register: ein -> list.
         self._waiting: Dict[int, List[Message]] = {}
         self._forward_seq = 0
-        self._ein_streams_cache: Dict[int, RandomStreams] = {}
         self.end_to_end_delay = SummaryStats()
+        # Imported here: a city's set-up imports this module and needs
+        # nothing else from the obs package.
+        from repro.obs.registry import HistogramChild
+
+        self.delay_histogram = HistogramChild(DELAY_BUCKETS)
         #: The group's counters; a shard's epoch report digests them.
         self.counters: Dict[str, Any] = {
             "messages_routed": 0,
@@ -223,11 +232,9 @@ class MultiCellNetwork:
             subscriber.on_message_received = self._on_message_received
 
     def _ein_streams(self, ein: int) -> RandomStreams:
-        streams = self._ein_streams_cache.get(ein)
-        if streams is None:
-            streams = self.streams.spawn(f"ein-{ein}")
-            self._ein_streams_cache[ein] = streams
-        return streams
+        # Derived afresh on each call: every per-hop stream name is
+        # drawn from exactly once, so nothing needs keeping past a hop.
+        return self.streams.spawn(f"ein-{ein}")
 
     def _hop_link(self, ein: int, hop: int, direction: str) -> Link:
         return _make_link(self._cell_cfg, self._ein_streams(ein),
@@ -360,6 +367,7 @@ class MultiCellNetwork:
         self.counters["messages_received"] += 1
         self.counters["end_to_end_delay_total"] += delay
         self.end_to_end_delay.push(delay)
+        self.delay_histogram.observe(delay)
 
     # -- handoff ------------------------------------------------------------
 
@@ -439,12 +447,13 @@ class MultiCellNetwork:
         for run in self.runs.values():
             finalize_run(run)
         stats = self.stats
-        publish_network_stats(stats, self.backbone.total_bytes)
+        publish_network_stats(stats, self.backbone.total_bytes,
+                              self.delay_histogram)
         return stats
 
 
-def publish_network_stats(stats: NetworkStats,
-                          backbone_bytes: int = 0) -> None:
+def publish_network_stats(stats: NetworkStats, backbone_bytes: int,
+                          delays: "HistogramChild") -> None:
     """Publish network-level totals into the obs metrics registry.
 
     A no-op unless the process-global registry is enabled (``--metrics``
@@ -475,12 +484,10 @@ def publish_network_stats(stats: NetworkStats,
     registry.counter(
         "osu_network_backbone_bytes_total",
         "Bytes carried by the wired backbone").inc(backbone_bytes)
-    delay = registry.histogram(
+    registry.histogram(
         "osu_network_end_to_end_delay_seconds",
         "Cross-cell end-to-end message delay",
-        buckets=(1.0, 2.5, 5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0))
-    for sample in stats.end_to_end_delay.samples or ():
-        delay.observe(sample)
+        buckets=DELAY_BUCKETS).labels().merge(delays)
 
 
 @dataclass

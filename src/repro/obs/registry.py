@@ -109,6 +109,15 @@ class HistogramChild:
                 return
         self.counts[-1] += 1
 
+    def merge(self, other: "HistogramChild") -> None:
+        """Add the observations of ``other`` (same buckets) to this one."""
+        if other.buckets != self.buckets:
+            raise ValueError("cannot merge histograms of other buckets")
+        self.sum += other.sum
+        self.count += other.count
+        for index, count in enumerate(other.counts):
+            self.counts[index] += count
+
     def cumulative(self) -> List[int]:
         """Cumulative per-bucket counts, Prometheus style (ends +Inf)."""
         total = 0

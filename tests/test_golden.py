@@ -1,0 +1,132 @@
+"""Golden digests: the output bytes of small runs, pinned.
+
+Each digest is the sha256 of the canonical JSON (sorted keys, compact
+separators) of a run's output, taken at a tree known to be right.  A
+mismatch means a change altered what the simulator computes; the
+failure prints both digests.  If the change is meant to alter output,
+edit the digest here and say why in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.core.config import CellConfig
+from repro.engine import execute
+from repro.experiments import chaos, registration
+from repro.experiments.runner import sweep_spec
+from repro.faults.schedule import parse_faults
+from repro.fuzz.campaign import run_campaign
+from repro.serve.config import ServeConfig
+from repro.serve.service import CellService
+from repro.shard.config import CityConfig, MobilityConfig
+from repro.shard.coordinator import run_city
+
+
+def digest_of(value) -> str:
+    blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def assert_golden(what: str, actual: str, expected: str) -> None:
+    assert actual == expected, (
+        f"{what} digest changed: golden {expected}, this tree {actual}")
+
+
+def serve_faults(horizon: int) -> str:
+    """A burst every 100 cycles up to ``horizon``: a data user crashes
+    and restarts, a GPS unit fades, then a control-field storm."""
+    entries = []
+    for burst, at in enumerate(range(10, horizon, 100)):
+        data, gps = burst % 14, burst % 8
+        entries += [f"crash:data-{data}@{at}",
+                    f"restart:data-{data}@{at + 5}",
+                    f"fade:gps-{gps}@{at + 12}+3*0.95",
+                    f"cf_storm:*@{at + 25}+2"]
+    return ";".join(entries)
+
+
+def serve_cell(horizon: int) -> CellConfig:
+    """The bench's serve cell: the paper's maximum population (14 data
+    + 8 GPS users) at load 0.8, with fault bursts up to ``horizon``."""
+    return CellConfig(num_data_users=14, num_gps_users=8,
+                      load_index=0.8, liveness_lease_cycles=8,
+                      eviction_backoff_jitter_cycles=2,
+                      faults=parse_faults(serve_faults(horizon)), seed=1)
+
+
+def serve_config(root, cycles: int) -> ServeConfig:
+    return ServeConfig(name="golden", cells=1, cycle_period_s=0.0,
+                       max_cycles=cycles, journal_root=str(root),
+                       history_cycles=16)
+
+
+def test_fig8_quick_sweep():
+    # The bench's seed-1 sweep input: equals bench/golden.json's sweep.
+    result = execute(sweep_spec(seeds=(1, 2, 3), quick=True), jobs=1,
+                     cache=False)
+    assert_golden("sweep", digest_of(result.values),
+                  "5ee6e403705762a2a81bdd7bbbc4ef5c"
+                  "05b470ff45a0c6456a4c5c5a82ec5821")
+
+
+def test_chaos_quick():
+    result = execute(chaos.spec(quick=True), jobs=1, cache=False)
+    assert_golden("chaos", digest_of(result.values),
+                  "e1bb10d97c3be8715091b78373b5ad3c"
+                  "05e310058714fc8e2f43870e06bdae00")
+
+
+def test_registration_quick():
+    # Pins cdf2/cdf10, the registration latency distribution.
+    result = execute(registration.spec(quick=True), jobs=1, cache=False)
+    assert_golden("registration", digest_of(result.values),
+                  "aca8b56ebeb16655ce7052b9de9f9385"
+                  "9c27699f25c71aba5f91349bfab95c09")
+
+
+def test_fuzz_campaign():
+    report = run_campaign(7, 8, jobs=1, shrink=False)
+    assert_golden("fuzz campaign", report.digest, "7888eb6bc597ede8")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_city(jobs):
+    # CI's city-smoke config.
+    config = CityConfig(
+        rows=4, cols=4, num_shards=2,
+        cell=CellConfig(num_data_users=2, num_gps_users=1,
+                        load_index=0.0),
+        epochs=4, cycles_per_epoch=20, warmup_cycles=5,
+        mobility=MobilityConfig(movers_per_cell=1, hops_per_epoch=1.0),
+        seed=7)
+    result = run_city(config, jobs=jobs, checkpoint=False)
+    assert_golden(f"city (jobs {jobs})", result.digest,
+                  "e1b7d080dd228ecf35e49a59bdd4196a"
+                  "5f5da8716a31dd930aa9fe8635d68f2f")
+
+
+def test_serve_cell_and_its_replay(tmp_path):
+    cycles = 200
+    service = CellService("cell0", serve_cell(cycles),
+                          serve_config(tmp_path, cycles))
+    service.start()
+    for _ in range(cycles):
+        service.step_cycle()
+    counters = service._sim_counters()
+    service.shutdown(clean=True)
+    snapshot = service.journal.load().snapshot
+    assert snapshot["cycle"] == cycles
+    assert_golden("serve snapshot", digest_of(snapshot),
+                  "6b85e028ee204d671bbaba2b4e2e9b43"
+                  "4a13e9e94dd10e9e845fb5b859d72bcc")
+
+    resumed = CellService("cell0", serve_cell(cycles),
+                          serve_config(tmp_path, cycles))
+    resumed.start(resume=True)
+    try:
+        assert resumed.cycle == cycles
+        assert resumed._sim_counters() == counters
+    finally:
+        resumed.shutdown(clean=True)

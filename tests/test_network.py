@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.core.config import CellConfig
 from repro.network import (
     Backbone,
@@ -10,6 +11,7 @@ from repro.network import (
     build_network,
     run_network,
 )
+from repro.obs.registry import MetricsRegistry, set_default_registry
 from repro.phy import timing
 from repro.sim import Simulator
 
@@ -110,6 +112,23 @@ class TestMultiCellRouting:
         # Uplink alone takes ~3 cycles at this load; end-to-end adds the
         # downlink scheduling, so the mean must exceed one cycle time.
         assert run.stats.end_to_end_delay.mean > timing.CYCLE_LENGTH
+
+    def test_delay_histogram_rows(self, tmp_path):
+        """``repro network --cells 3 --handoffs 2 --metrics``: delays
+        counted on arrival give the rows replayed samples gave."""
+        registry = MetricsRegistry(enabled=False)
+        previous = set_default_registry(registry)
+        try:
+            assert cli_main(["network", "--cells", "3", "--handoffs", "2",
+                             "--metrics", str(tmp_path / "net.prom")]) == 0
+        finally:
+            set_default_registry(previous)
+        (row,) = [row for row in registry.rows()
+                  if row["name"] == "osu_network_end_to_end_delay_seconds"]
+        assert list(row["buckets"].values()) \
+            == [0, 0, 2, 18, 82, 124, 126, 127, 127, 127]
+        assert row["sum"] == 2432.7909648033146
+        assert row["count"] == 127
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

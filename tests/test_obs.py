@@ -19,6 +19,7 @@ from repro.obs.observe import observe_cell
 from repro.obs.profiler import Profiler, instrument_cell
 from repro.obs.registry import (
     NULL_CHILD,
+    HistogramChild,
     MetricsRegistry,
     default_registry,
     set_default_registry,
@@ -125,6 +126,19 @@ class TestRegistry:
         assert child.count == 4
         assert child.sum == pytest.approx(105.0)
         assert child.cumulative() == [1, 2, 3, 4]
+
+    def test_histogram_merge_adds_observations(self):
+        merged, direct = HistogramChild((1.0, 2.0)), HistogramChild((1.0, 2.0))
+        for values in ((0.5, 3.0), (1.5, 0.25)):
+            part = HistogramChild((1.0, 2.0))
+            for value in values:
+                part.observe(value)
+                direct.observe(value)
+            merged.merge(part)
+        assert (merged.counts, merged.count) == (direct.counts, 4)
+        assert merged.sum == pytest.approx(direct.sum)
+        with pytest.raises(ValueError):
+            merged.merge(HistogramChild((1.0, 4.0)))
 
     def test_disabled_registry_hands_out_null_child(self):
         registry = MetricsRegistry(enabled=False)

@@ -61,7 +61,8 @@ class TestBase:
         terminal.maybe_arrive(5, rng, stats)
         assert len(terminal.pending) == 1
         assert terminal.transmit(8, stats)
-        assert stats.data_delay_slots.samples == [3]
+        assert stats.data_delay_slots.count == 1
+        assert stats.data_delay_slots.max == 3
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
