@@ -3,30 +3,26 @@
 The contract ``docs/OBSERVABILITY.md`` documents: a timeline-recorded
 run (the ``--metrics`` path) stays within ~5% of an uninstrumented
 run, and the disabled-registry publish path is free (structurally a
-no-op).  ``--profile`` is exempt from the budget by design -- wrapping
-every ``sim.step`` in a ``perf_counter`` pair is pay-to-measure -- but
-its ratio is measured and bounded too so a pathological regression
-still trips.  The 5% figure is the *budget* recorded in
-``BENCH_obs.json``; the hard assertions below are deliberately looser
-(:data:`HARD_BOUND`) so single-core CI jitter does not produce false
-alarms -- the measured ratios land in the JSON either way, so drift is
-visible in review even when they stay under the bound.
+no-op).  ``--profile`` is pay-to-measure and has no budget; its cost
+is given in ``docs/OBSERVABILITY.md``.  The hard assertions below are
+deliberately looser than the 5% budget (:data:`HARD_BOUND`) so CI
+jitter does not produce false alarms; the measured ratios are printed
+either way, so drift is visible even when they stay under the bound.
+Performance numbers of record come from ``python3 bench/run.py``.
 
 Timings interleave the plain and instrumented variants round by round
 and keep the best of each, which cancels most machine noise.  Run with
-``PYTHONPATH=src python -m pytest benchmarks/test_bench_obs.py -s``;
-the run rewrites ``BENCH_obs.json`` at the repo root.
+``PYTHONPATH=src python -m pytest benchmarks/test_bench_obs.py -s``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 
 from repro.core.cell import build_cell, finalize_run, run_cell
 from repro.core.config import CellConfig
-from repro.obs.profiler import Profiler, instrument_cell
+from repro.obs.profiler import profile_call
 from repro.obs.registry import NULL_CHILD, MetricsRegistry
 from repro.obs.timeline import TimelineRecorder
 
@@ -38,14 +34,7 @@ BUDGET = 0.05
 #: path) still trips.
 HARD_BOUND = 1.15
 
-#: The --profile path times every event-loop step by design; bound it
-#: against pathological regressions only.
-PROFILE_BOUND = 1.50
-
 ROUNDS = 5
-
-BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
-                          "BENCH_obs.json")
 
 CELL = dict(num_data_users=9, num_gps_users=4, load_index=0.8,
             cycles=120, warmup_cycles=20, seed=1)
@@ -67,13 +56,11 @@ def _plain():
     run_cell(CellConfig(**CELL))
 
 
-def _instrumented(enabled_registry: bool, profiled: bool = False):
+def _instrumented(enabled_registry: bool):
     config = CellConfig(**CELL)
     run = build_cell(config)
     registry = MetricsRegistry(enabled=enabled_registry)
     TimelineRecorder(run, registry=registry)
-    if profiled:
-        instrument_cell(run, Profiler())
     run.sim.run(until=config.duration)
     finalize_run(run)
 
@@ -83,11 +70,9 @@ def test_instrumented_run_overhead_within_bound():
         "plain": _plain,
         "timeline": lambda: _instrumented(False),
         "timeline_registry": lambda: _instrumented(True),
-        "profiled": lambda: _instrumented(True, profiled=True),
     })
     ratio = best["timeline"] / best["plain"]
     ratio_registry = best["timeline_registry"] / best["plain"]
-    ratio_profiled = best["profiled"] / best["plain"]
 
     # Disabled-registry publish path: structurally free.
     registry = MetricsRegistry(enabled=False)
@@ -101,38 +86,20 @@ def test_instrumented_run_overhead_within_bound():
     assert disabled_s < 1.0  # ~no-op per call even on slow CI
 
     record = {
-        "benchmark": "timeline recorder (+ registry, + profiler "
-                     "hooks) vs plain run_cell",
-        "date": time.strftime("%Y-%m-%d"),
+        "benchmark": "timeline recorder (+ registry) vs plain run_cell",
         "cell": CELL,
         "rounds": ROUNDS,
         "budget": BUDGET,
         "hard_bound": HARD_BOUND,
-        "profile_bound": PROFILE_BOUND,
         "plain_s": round(best["plain"], 4),
         "timeline_s": round(best["timeline"], 4),
         "timeline_registry_s":
             round(best["timeline_registry"], 4),
-        "profiled_s": round(best["profiled"], 4),
         "overhead_ratio": round(ratio, 4),
         "overhead_ratio_registry": round(ratio_registry, 4),
-        "overhead_ratio_profiled": round(ratio_profiled, 4),
         "disabled_publish_ns":
             round(disabled_s / publishes * 1e9, 1),
-        "notes": "Interleaved best-of-N; 'overhead_ratio' is the "
-                 "--metrics-to-file path (recorder, registry "
-                 "disabled), '_registry' adds live gauge/histogram "
-                 "publishing, '_profiled' adds the --profile hooks "
-                 "(which time every event-loop step by design and "
-                 "are exempt from the 5% budget). The 5% budget is "
-                 "the documented target for the timeline path; the "
-                 "hard asserts are looser to absorb CI noise, and "
-                 "the measured ratios are recorded here so drift "
-                 "shows up in review.",
     }
-    with open(BENCH_PATH, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=1)
-        handle.write("\n")
     print()
     print(json.dumps(record, indent=1))
 
@@ -140,7 +107,6 @@ def test_instrumented_run_overhead_within_bound():
         f"timeline-recorded run {ratio:.2f}x plain exceeds "
         f"{HARD_BOUND}x (budget {1 + BUDGET:.2f}x)")
     assert ratio_registry < HARD_BOUND + 0.05
-    assert ratio_profiled < PROFILE_BOUND
 
 
 def test_instrumentation_is_observationally_transparent():
@@ -149,7 +115,6 @@ def test_instrumentation_is_observationally_transparent():
     plain = run_cell(config).summary()
     run = build_cell(config)
     TimelineRecorder(run, registry=MetricsRegistry(enabled=True))
-    instrument_cell(run, Profiler())
-    run.sim.run(until=config.duration)
+    profile_call(run.sim.run, until=config.duration)
     finalize_run(run)
     assert run.stats.summary() == plain

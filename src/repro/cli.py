@@ -107,8 +107,23 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
                              "(JSONL) plus manifest and Prometheus "
                              "sidecars")
     parser.add_argument("--profile", action="store_true",
-                        help="time the simulator hot paths and print "
-                             "a self-profile table to stderr")
+                        help="profile the event loop with cProfile and "
+                             "print the heaviest functions by self "
+                             "time to stderr")
+
+
+def _report_profile(rows, metrics: Optional[str]) -> None:
+    """Print a profile's table; with ``--metrics``, also write its rows
+    to the ``<base>.profile.json`` sidecar."""
+    from repro.obs.export import sidecar_paths
+    from repro.obs.profiler import format_rows
+
+    if metrics:
+        with open(sidecar_paths(metrics)["profile"], "w",
+                  encoding="utf-8") as f:
+            json.dump(rows, f, indent=2)
+            f.write("\n")
+    print(format_rows(rows), file=sys.stderr)
 
 
 def _instrumented_run(config: CellConfig, args: argparse.Namespace):
@@ -120,7 +135,7 @@ def _instrumented_run(config: CellConfig, args: argparse.Namespace):
         write_manifest,
         write_prometheus,
     )
-    from repro.obs.profiler import Profiler, instrument_cell
+    from repro.obs.profiler import profile_call
     from repro.obs.registry import default_registry
     from repro.obs.timeline import TimelineRecorder
     from repro.trace import CellTracer
@@ -132,11 +147,9 @@ def _instrumented_run(config: CellConfig, args: argparse.Namespace):
     tracer = CellTracer(run) if args.trace else None
     recorder = (TimelineRecorder(run, registry=registry)
                 if args.metrics else None)
-    profiler = Profiler() if args.profile else None
-    if profiler is not None:
-        instrument_cell(run, profiler)
-        with profiler.section("run.total"):
-            run.sim.run(until=config.duration)
+    rows = None
+    if args.profile:
+        _, rows = profile_call(run.sim.run, until=config.duration)
     else:
         run.sim.run(until=config.duration)
     finalize_run(run)
@@ -156,13 +169,8 @@ def _instrumented_run(config: CellConfig, args: argparse.Namespace):
         print(f"[metrics] {count} cycles -> {paths['timeline']} "
               f"(manifest: {paths['manifest']}, "
               f"prometheus: {paths['prometheus']})", file=sys.stderr)
-    if profiler is not None:
-        if args.metrics:
-            paths = sidecar_paths(args.metrics)
-            with open(paths["profile"], "w", encoding="utf-8") as f:
-                json.dump(profiler.to_dict(), f, indent=2)
-                f.write("\n")
-        print(profiler.table(), file=sys.stderr)
+    if rows is not None:
+        _report_profile(rows, args.metrics)
     return run
 
 
@@ -243,30 +251,9 @@ def _command_network(args: argparse.Namespace) -> int:
 
 
 def _command_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments.__main__ import main as experiments_main
+    from repro.experiments.__main__ import run as experiments_run
 
-    forwarded: List[str] = list(args.names)
-    if args.quick:
-        forwarded.append("--quick")
-    if args.list:
-        forwarded.append("--list")
-    if args.jobs is not None:
-        forwarded.extend(["--jobs", str(args.jobs)])
-    if args.no_cache:
-        forwarded.append("--no-cache")
-    if args.timeout is not None:
-        forwarded.extend(["--timeout", str(args.timeout)])
-    if args.retries is not None:
-        forwarded.extend(["--retries", str(args.retries)])
-    if args.resume:
-        forwarded.append("--resume")
-    if args.fail_fast:
-        forwarded.append("--fail-fast")
-    if args.metrics:
-        forwarded.extend(["--metrics", args.metrics])
-    if args.profile:
-        forwarded.append("--profile")
-    return experiments_main(forwarded)
+    return experiments_run(args)
 
 
 def _observed_sweep(args: argparse.Namespace, loads, seeds, policy):
@@ -280,7 +267,7 @@ def _observed_sweep(args: argparse.Namespace, loads, seeds, policy):
         write_manifest,
         write_prometheus,
     )
-    from repro.obs.profiler import Profiler
+    from repro.obs.profiler import Rows, merge_rows
     from repro.obs.registry import default_registry
     from repro.experiments.runner import observed_sweep_spec
 
@@ -291,8 +278,11 @@ def _observed_sweep(args: argparse.Namespace, loads, seeds, policy):
         num_data_users=args.data_users,
         num_gps_users=args.gps_users,
         cycles=args.cycles, warmup_cycles=args.warmup)
+    # A profile's timings are measured, not computed: a cached point
+    # would replay an earlier run's.
     result = execute(spec, jobs=args.jobs,
-                     cache=False if args.no_cache else None,
+                     cache=False if args.no_cache or args.profile
+                     else None,
                      policy=policy)
     values = [value for value in result.values if value]
 
@@ -338,15 +328,10 @@ def _observed_sweep(args: argparse.Namespace, loads, seeds, policy):
               f"{paths['timeline']} (manifest: {paths['manifest']}, "
               f"prometheus: {paths['prometheus']})", file=sys.stderr)
     if args.profile:
-        profiler = Profiler()
+        rows: Rows = {}
         for value in values:
-            profiler.merge(value.get("profile", {}))
-        if args.metrics:
-            paths = sidecar_paths(args.metrics)
-            with open(paths["profile"], "w", encoding="utf-8") as f:
-                json.dump(profiler.to_dict(), f, indent=2)
-                f.write("\n")
-        print(profiler.table(), file=sys.stderr)
+            merge_rows(rows, value["profile"])
+        _report_profile(rows, args.metrics)
     return result.reduced
 
 
@@ -503,13 +488,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     experiments_parser = subparsers.add_parser(
         "experiments", help="regenerate the paper's tables and figures")
-    experiments_parser.add_argument("names", nargs="*")
-    experiments_parser.add_argument("--quick", action="store_true")
-    experiments_parser.add_argument("--list", action="store_true")
-    experiments_parser.add_argument("--jobs", type=int, default=None)
-    experiments_parser.add_argument("--no-cache", action="store_true")
-    _add_resilience_arguments(experiments_parser)
-    _add_obs_arguments(experiments_parser)
+    from repro.experiments.__main__ import (
+        configure_parser as _configure_experiments,
+    )
+    _configure_experiments(experiments_parser)
     experiments_parser.set_defaults(handler=_command_experiments)
 
     sweep_parser = subparsers.add_parser(

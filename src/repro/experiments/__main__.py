@@ -28,6 +28,7 @@ import argparse
 import json
 import sys
 import time
+from typing import List, Optional
 
 from repro.engine import (
     PointFailureError,
@@ -78,10 +79,7 @@ EXPERIMENTS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments",
-        description="Regenerate the paper's tables and figures.")
+def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("names", nargs="*",
                         help="experiment names (or 'all')")
     parser.add_argument("--list", action="store_true",
@@ -120,11 +118,9 @@ def main(argv=None) -> int:
                         help="write the metrics-registry samples "
                              "(engine counters etc.) to PATH as JSONL "
                              "plus manifest and Prometheus sidecars")
-    parser.add_argument("--profile", action="store_true",
-                        help="time each experiment end to end and "
-                             "print a self-profile table to stderr")
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace) -> int:
     if args.list or not args.names:
         for name in EXPERIMENTS:
             print(name)
@@ -132,14 +128,10 @@ def main(argv=None) -> int:
 
     cache = False if args.no_cache else None
     names = list(EXPERIMENTS) if args.names == ["all"] else args.names
-    from repro.obs.profiler import PROFILER
     from repro.obs.registry import default_registry
     if args.metrics:
         default_registry().enable()
         default_registry().reset()
-    if args.profile:
-        PROFILER.enabled = True
-        PROFILER.reset()
     # Install the resilience flags as the process-default policy so
     # every execute() call under every runner sees them (unset flags
     # still fall back to the REPRO_* environment mirrors).
@@ -158,9 +150,8 @@ def main(argv=None) -> int:
             telemetry.reset()
             started = time.time()
             try:
-                with PROFILER.section(f"experiment.{name}"):
-                    result = runner(quick=args.quick, jobs=args.jobs,
-                                    cache=cache)
+                result = runner(quick=args.quick, jobs=args.jobs,
+                                cache=cache)
             except PointFailureError as error:
                 print(f"[{name} aborted by --fail-fast: {error}]",
                       file=sys.stderr)
@@ -183,15 +174,20 @@ def main(argv=None) -> int:
             print()
     finally:
         set_default_policy(None)
-        if args.profile:
-            print(PROFILER.table(), file=sys.stderr)
-            PROFILER.enabled = False
         if args.metrics:
-            _write_metrics(args.metrics, names, argv)
+            _write_metrics(args.metrics, names)
     return exit_code
 
 
-def _write_metrics(path: str, names, argv) -> None:
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments",
+        description="Regenerate the paper's tables and figures.")
+    configure_parser(parser)
+    return run(parser.parse_args(argv))
+
+
+def _write_metrics(path: str, names) -> None:
     """Dump the registry plus manifest/Prometheus sidecars."""
     from repro.obs.export import (
         build_manifest,
@@ -206,7 +202,7 @@ def _write_metrics(path: str, names, argv) -> None:
     write_jsonl(path, registry.rows())
     paths = sidecar_paths(path)
     write_manifest(paths["manifest"], build_manifest(
-        "experiments", argv=argv,
+        "experiments", argv=sys.argv[1:],
         extra={"experiments": list(names)}))
     write_prometheus(paths["prometheus"], registry)
     print(f"[metrics] registry -> {path} "

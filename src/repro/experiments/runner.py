@@ -150,10 +150,10 @@ def observed_sweep_spec(loads: Sequence[float] = PAPER_LOADS,
 
     Each point runs :func:`repro.obs.observe.run_cell_observed`, so its
     value carries the summary *plus* the per-cycle timeline, the
-    timeline digest, and (with ``profile=True``) the self-profile
-    sections -- all JSON-serializable, so caching, parallel execution,
-    and resume work exactly as for a plain sweep.  The reducer still
-    yields the familiar per-load table.
+    timeline digest, and (with ``profile=True``) the per-function
+    profile rows -- all JSON-serializable, so caching, parallel
+    execution, and resume work exactly as for a plain sweep.  The
+    reducer still yields the familiar per-load table.
     """
     from repro.obs.observe import run_cell_observed
 

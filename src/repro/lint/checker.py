@@ -42,12 +42,11 @@ DET_EXTRA_PACKAGES: Set[str] = {"fuzz"}
 
 #: Hot-path modules *outside* the core packages.  These sit on the
 #: per-event or per-cycle path even though their packages are otherwise
-#: engine/CLI-side: the profiler and metrics registry are called from
-#: inside the simulation loop, and the Welford accumulators in
+#: engine/CLI-side: the metrics registry is called from inside the
+#: simulation loop, and the Welford accumulators in
 #: ``metrics/stats.py`` run once per delivered packet.  The HOT family
 #: (no console/file I/O on the hot path) therefore applies to them too.
 HOT_EXTRA_MODULES: Set[Tuple[str, ...]] = {
-    ("obs", "profiler"),
     ("obs", "registry"),
     ("metrics", "stats"),
     # The service-mode cycle loop steps the simulator once per paced

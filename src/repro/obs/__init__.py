@@ -16,9 +16,9 @@ summarizing it afterwards:
   depths, slot utilization, uplink collisions, GPS deadline margins,
   reservation backlog, and registration churn once per notification
   cycle.
-* :mod:`~repro.obs.profiler` -- scoped wall-clock timers around the
-  simulator event loop, channel delivery, and scheduler build,
-  aggregated into a self-profile table (``--profile``).
+* :mod:`~repro.obs.profiler` -- cProfile rows per function (calls,
+  exclusive and inclusive seconds) for a profiled run, mergeable across
+  a sweep's workers and printed heaviest first (``--profile``).
 * :mod:`~repro.obs.export` -- JSONL/CSV writers, Prometheus text
   exposition, and per-run manifests (config hash, seed, git revision,
   :class:`~repro.engine.policy.RunPolicy`).
@@ -34,7 +34,6 @@ from repro.obs.export import (
     write_jsonl,
     write_manifest,
 )
-from repro.obs.profiler import PROFILER, Profiler, instrument_cell
 from repro.obs.registry import (
     NULL_CHILD,
     Counter,
@@ -52,13 +51,10 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_CHILD",
-    "PROFILER",
-    "Profiler",
     "TimelinePoint",
     "TimelineRecorder",
     "build_manifest",
     "default_registry",
-    "instrument_cell",
     "set_default_registry",
     "sidecar_paths",
     "to_prometheus",

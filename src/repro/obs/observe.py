@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, Tuple
 
 from repro.core.cell import build_cell, finalize_run
-from repro.obs.profiler import Profiler, instrument_cell
+from repro.obs.profiler import profile_call
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import TimelineRecorder
 
@@ -25,15 +25,14 @@ def observe_cell(config, profile: bool = False,
     The result dict carries ``summary`` (the normal
     :meth:`~repro.metrics.CellStats.summary`), ``timeline`` (one dict
     per sampled cycle), ``obs`` (the timeline digest), and -- when
-    ``profile`` is set -- ``profile`` (the self-profile sections).
+    ``profile`` is set -- ``profile`` (the per-function rows of
+    :func:`~repro.obs.profiler.profile_call` over the event loop).
     """
     run = build_cell(config)
     recorder = TimelineRecorder(run, registry=registry)
-    profiler = Profiler() if profile else None
-    if profiler is not None:
-        instrument_cell(run, profiler)
-        with profiler.section("run.total"):
-            run.sim.run(until=config.duration)
+    rows = None
+    if profile:
+        _, rows = profile_call(run.sim.run, until=config.duration)
     else:
         run.sim.run(until=config.duration)
     finalize_run(run)
@@ -42,8 +41,8 @@ def observe_cell(config, profile: bool = False,
         "timeline": recorder.to_dicts(),
         "obs": recorder.summary(),
     }
-    if profiler is not None:
-        result["profile"] = profiler.to_dict()
+    if rows is not None:
+        result["profile"] = rows
     return result
 
 

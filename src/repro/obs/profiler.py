@@ -1,181 +1,75 @@
-"""Scoped wall-clock profiling: where do simulated seconds go?
+"""Per-function profiles: where did the host seconds go?
 
-A :class:`Profiler` aggregates named sections into a self-profile table
-(calls, total seconds, mean/max microseconds, share of the widest
-section).  Sections come from three sources:
+:func:`profile_call` runs one call under the standard library's
+``cProfile`` and returns, beside its result, one JSON-ready row per
+function it ran, keyed ``path:line(function)``:
 
-* ``with profiler.section("name"):`` around any block;
-* ``profiler.wrap(fn, "name")`` / ``profiler.instrument(obj, attr)``,
-  which shadow a bound method with a timed wrapper on *one instance*
-  (the class stays untouched, so un-instrumented runs pay nothing);
-* :func:`instrument_cell`, the standard hook set for a built
-  :class:`~repro.core.cell.CellRun`: the simulator event loop
-  (``sim.step``), reverse/forward channel delivery, and the base
-  station's per-cycle schedule build.
+* ``calls`` -- how many times the function was called;
+* ``self_s`` -- seconds spent in the function itself, excluding the
+  functions it called, so the self times of all rows partition the run;
+* ``total_s`` -- seconds spent in the function including its callees.
 
-Sections *nest* (channel delivery runs inside an event-loop step), so
-totals overlap by design -- the table answers "how much wall-clock is
-spent under each hook", not "how do disjoint parts sum to 100%".
-
-:data:`PROFILER` is a process-global instance, disabled by default;
-the CLIs enable it under ``--profile``.
+Paths inside the package start at ``repro/``, so row keys do not depend
+on where the checkout lives and a sweep's per-point rows, profiled in
+worker processes, add up with :func:`merge_rows`.  :func:`format_rows`
+prints the heaviest rows by self time (``--profile``).
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional
+import os
+from typing import Any, Callable, Dict, Tuple
+
+#: One profile: ``path:line(function)`` -> calls, self_s and total_s.
+Rows = Dict[str, Dict[str, Any]]
+
+#: The directory that holds the ``repro`` package.
+_PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))) + os.sep
+_PACKAGE_PREFIX = _PACKAGE_PARENT + "repro" + os.sep
 
 
-class SectionStats:
-    """Aggregated timings of one named section."""
+def profile_call(fn: Callable[..., Any], *args: Any,
+                 **kwargs: Any) -> Tuple[Any, Rows]:
+    """Run ``fn(*args, **kwargs)`` under cProfile; return its result and
+    the profile's rows."""
+    # Imported here: an observed run without --profile imports this
+    # module too, and only a profiled run needs these two.
+    import cProfile
+    import pstats
 
-    __slots__ = ("calls", "total_s", "max_s")
-
-    def __init__(self, calls: int = 0, total_s: float = 0.0,
-                 max_s: float = 0.0):
-        self.calls = calls
-        self.total_s = total_s
-        self.max_s = max_s
-
-    def add(self, seconds: float) -> None:
-        self.calls += 1
-        self.total_s += seconds
-        if seconds > self.max_s:
-            self.max_s = seconds
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.calls if self.calls else 0.0
-
-    def to_dict(self) -> Dict[str, float]:
-        return {"calls": self.calls, "total_s": self.total_s,
-                "max_s": self.max_s}
+    profiler = cProfile.Profile()
+    result = profiler.runcall(fn, *args, **kwargs)
+    rows: Rows = {}
+    for (path, line, name), (_, calls, self_s, total_s, _) in \
+            pstats.Stats(profiler).stats.items():
+        if path.startswith(_PACKAGE_PREFIX):
+            path = path[len(_PACKAGE_PARENT):]
+        rows[f"{path}:{line}({name})"] = {
+            "calls": calls, "self_s": self_s, "total_s": total_s}
+    return result, rows
 
 
-class Profiler:
-    """Aggregates scoped wall-clock timings by section name."""
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self.sections: Dict[str, SectionStats] = {}
-
-    # -- recording --------------------------------------------------------
-
-    def record(self, name: str, seconds: float) -> None:
-        stats = self.sections.get(name)
-        if stats is None:
-            stats = self.sections[name] = SectionStats()
-        stats.add(seconds)
-
-    @contextmanager
-    def section(self, name: str):
-        """Time a block; no-op (single branch) when disabled."""
-        if not self.enabled:
-            yield self
-            return
-        started = time.perf_counter()
-        try:
-            yield self
-        finally:
-            self.record(name, time.perf_counter() - started)
-
-    def wrap(self, fn: Callable, name: str) -> Callable:
-        """A timed wrapper around ``fn`` recording under ``name``."""
-        perf_counter = time.perf_counter
-        record = self.record
-
-        def timed(*args, **kwargs):
-            started = perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                record(name, perf_counter() - started)
-
-        timed.__wrapped__ = fn
-        return timed
-
-    def instrument(self, obj: object, attr: str,
-                   name: Optional[str] = None) -> None:
-        """Shadow ``obj.attr`` with a timed wrapper (instance-local)."""
-        section = name or f"{type(obj).__name__}.{attr}"
-        setattr(obj, attr, self.wrap(getattr(obj, attr), section))
-
-    # -- reporting --------------------------------------------------------
-
-    def reset(self) -> None:
-        self.sections = {}
-
-    def to_dict(self) -> Dict[str, Dict[str, float]]:
-        return {name: stats.to_dict()
-                for name, stats in self.sections.items()}
-
-    def merge(self, data: Dict[str, Dict[str, float]]) -> None:
-        """Fold another profiler's ``to_dict()`` into this one.
-
-        Used to aggregate per-point profiles collected in worker
-        processes into one parent-side table.
-        """
-        for name, entry in data.items():
-            stats = self.sections.get(name)
-            if stats is None:
-                stats = self.sections[name] = SectionStats()
-            stats.calls += int(entry.get("calls", 0))
-            stats.total_s += float(entry.get("total_s", 0.0))
-            stats.max_s = max(stats.max_s,
-                              float(entry.get("max_s", 0.0)))
-
-    def table(self) -> str:
-        """The self-profile table, widest section first."""
-        if not self.sections:
-            return "[profile: no sections recorded]"
-        rows: List[List[str]] = []
-        widest = max(stats.total_s
-                     for stats in self.sections.values()) or 1.0
-        ordered = sorted(self.sections.items(),
-                         key=lambda item: -item[1].total_s)
-        for name, stats in ordered:
-            rows.append([
-                name,
-                str(stats.calls),
-                f"{stats.total_s:.4f}",
-                f"{stats.mean_s * 1e6:.1f}",
-                f"{stats.max_s * 1e6:.1f}",
-                f"{stats.total_s / widest * 100:.1f}%",
-            ])
-        headers = ["section", "calls", "total s", "mean us",
-                   "max us", "share"]
-        widths = [max(len(row[index]) for row in [headers] + rows)
-                  for index in range(len(headers))]
-        lines = ["  ".join(header.ljust(width)
-                           for header, width in zip(headers, widths))]
-        lines.append("  ".join("-" * width for width in widths))
-        for row in rows:
-            lines.append("  ".join(
-                cell.ljust(width)
-                for cell, width in zip(row, widths)))
-        lines.append("(sections nest: 'share' is relative to the "
-                     "widest section, not a partition)")
-        return "\n".join(lines)
+def merge_rows(total: Rows, rows: Rows) -> None:
+    """Add one profile's ``rows`` into the running ``total``."""
+    for key, row in rows.items():
+        entry = total.setdefault(
+            key, {"calls": 0, "self_s": 0.0, "total_s": 0.0})
+        entry["calls"] += row["calls"]
+        entry["self_s"] += row["self_s"]
+        entry["total_s"] += row["total_s"]
 
 
-#: The process-global profiler, enabled by the CLIs under --profile.
-PROFILER = Profiler(enabled=False)
-
-
-def instrument_cell(run, profiler: Profiler) -> None:
-    """Attach the standard hook set to a built cell run.
-
-    Wraps, on the run's own instances only: the simulator event loop
-    (every :meth:`~repro.sim.core.Simulator.step`), delivery on both
-    channels, and the base station's per-cycle schedule build.
-    """
-    profiler.instrument(run.sim, "step", "sim.event_loop")
-    base_station = run.base_station
-    profiler.instrument(base_station, "_build_cycle",
-                        "scheduler.build_cycle")
-    profiler.instrument(base_station.reverse, "_complete",
-                        "channel.reverse_delivery")
-    profiler.instrument(base_station.forward, "_complete",
-                        "channel.forward_delivery")
+def format_rows(rows: Rows, limit: int = 25) -> str:
+    """The ``limit`` heaviest rows by self time, as a table."""
+    summed = sum(row["self_s"] for row in rows.values())
+    heaviest = sorted(rows.items(),
+                      key=lambda item: (-item[1]["self_s"], item[0]))
+    lines = ["   self s   share     calls    total s  function"]
+    for key, row in heaviest[:limit]:
+        share = row["self_s"] / summed if summed else 0.0
+        lines.append(f"{row['self_s']:9.4f}  {share:6.1%}  "
+                     f"{row['calls']:8d}  {row['total_s']:9.4f}  {key}")
+    lines.append(f"({min(limit, len(rows))} of {len(rows)} functions; "
+                 f"share is of the summed self time, {summed:.4f} s)")
+    return "\n".join(lines)

@@ -176,10 +176,6 @@ class Simulator:
         out of :meth:`run` immediately.  When False, the process simply
         fails as an event (useful when another process awaits it and
         handles the failure).
-
-    The class deliberately keeps a ``__dict__`` (no ``__slots__``): the
-    profiler shadows :meth:`step` on individual instances, and
-    :meth:`run` falls back to stepping through that shadow when present.
     """
 
     def __init__(self, strict: bool = True):
@@ -281,42 +277,27 @@ class Simulator:
         if until is not None and until < self.now:
             raise SimulationError(
                 f"run(until={until}) is in the past (now={self.now})")
-        if "step" in self.__dict__:
-            # step() is shadowed on this instance (profiler hook): route
-            # every event through it so instrumentation sees each one.
-            self._run_via_step(until)
-        else:
-            queue = self._now_queue
-            times = self._times
-            calendar = self._calendar
-            heappop = heapq.heappop
-            while True:
-                while queue:
-                    queue.popleft()._process()
-                if not times:
-                    break
-                when = times[0]
-                if until is not None and when > until:
-                    break
-                heappop(times)
-                self.now = when
-                bucket = calendar.pop(when)
-                if type(bucket) is list:
-                    queue.extend(bucket)
-                else:
-                    bucket._process()
+        queue = self._now_queue
+        times = self._times
+        calendar = self._calendar
+        heappop = heapq.heappop
+        while True:
+            while queue:
+                queue.popleft()._process()
+            if not times:
+                break
+            when = times[0]
+            if until is not None and when > until:
+                break
+            heappop(times)
+            self.now = when
+            bucket = calendar.pop(when)
+            if type(bucket) is list:
+                queue.extend(bucket)
+            else:
+                bucket._process()
         if until is not None and until > self.now:
             self.now = until
-
-    def _run_via_step(self, until: Optional[float]) -> None:
-        step = self.step
-        while True:
-            next_time = self.peek()
-            if next_time == _INF:
-                break
-            if until is not None and next_time > until:
-                break
-            step()
 
     def run_process(self, process: Process,
                     until: Optional[float] = None) -> Any:

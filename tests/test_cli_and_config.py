@@ -91,6 +91,13 @@ class TestCli:
         assert "fig8a" in out
         assert "table2" in out
 
+    def test_experiments_subcommand_save_csv(self, tmp_path, capsys):
+        code = cli_main(["experiments", "table1", "--save-csv",
+                         str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "table1.csv").exists()
+        capsys.readouterr()
+
 
 class TestExperimentsCli:
     def test_list(self, capsys):

@@ -350,10 +350,8 @@ class TestScoping:
         # Designated hot-path modules in otherwise non-core packages
         # get the HOT family (and only the HOT family beyond the
         # outer-package default).
-        profiler = scope_for_path("src/repro/obs/profiler.py")
-        assert profiler.hot and not profiler.det
         registry = scope_for_path("src/repro/obs/registry.py")
-        assert registry.hot
+        assert registry.hot and not registry.det
         stats = scope_for_path("src/repro/metrics/stats.py")
         assert stats.hot
         # The service-mode cycle loop is on the paced critical path.
@@ -362,6 +360,8 @@ class TestScoping:
         # Siblings in the same packages stay un-hot.
         render = scope_for_path("src/repro/obs/render.py")
         assert not render.hot
+        profiler = scope_for_path("src/repro/obs/profiler.py")
+        assert not profiler.hot
         fairness = scope_for_path("src/repro/metrics/fairness.py")
         assert not fairness.hot
         control = scope_for_path("src/repro/serve/control.py")
@@ -378,7 +378,7 @@ class TestScoping:
     def test_print_flagged_in_hot_extra_module(self):
         report = check_source("def sample(value):\n"
                               "    print(value)\n",
-                              "src/repro/obs/profiler.py")
+                              "src/repro/obs/registry.py")
         assert [finding.rule for finding in report.findings] \
             == ["HOT001"]
 

@@ -16,7 +16,7 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.observe import observe_cell
-from repro.obs.profiler import Profiler, instrument_cell
+from repro.obs.profiler import format_rows, merge_rows
 from repro.obs.registry import (
     NULL_CHILD,
     HistogramChild,
@@ -286,77 +286,79 @@ class TestTimelineRecorder:
 # -- profiler ---------------------------------------------------------------
 
 
+def build_cycle_calls(rows):
+    """Calls of the base station's per-cycle schedule build in a profile."""
+    return [row["calls"] for key, row in rows.items()
+            if key.endswith("(_build_cycle)")]
+
+
 class TestProfiler:
-    def test_section_and_wrap(self):
-        profiler = Profiler()
-        with profiler.section("block"):
-            pass
-        wrapped = profiler.wrap(lambda x: x + 1, "fn")
-        assert wrapped(1) == 2
-        assert profiler.sections["block"].calls == 1
-        assert profiler.sections["fn"].calls == 1
-        assert profiler.sections["fn"].total_s >= 0
-
-    def test_disabled_section_records_nothing(self):
-        profiler = Profiler(enabled=False)
-        with profiler.section("skipped"):
-            pass
-        assert profiler.sections == {}
-        assert profiler.table() == "[profile: no sections recorded]"
-
-    def test_instrument_shadows_one_instance_only(self):
-        profiler = Profiler()
-
-        class Thing:
-            def work(self):
-                return 42
-
-        instrumented, untouched = Thing(), Thing()
-        profiler.instrument(instrumented, "work")
-        assert instrumented.work() == 42
-        assert untouched.work() == 42
-        assert "work" not in untouched.__dict__
-        assert profiler.sections["Thing.work"].calls == 1
-
-    def test_instrument_cell_sections(self):
+    def test_profiled_run_is_bit_identical(self):
         config = small_config()
-        run = build_cell(config)
-        profiler = Profiler()
-        instrument_cell(run, profiler)
-        run.sim.run(until=config.duration)
-        for name in ("sim.event_loop", "scheduler.build_cycle",
-                     "channel.reverse_delivery",
-                     "channel.forward_delivery"):
-            assert profiler.sections[name].calls > 0, name
+        observed = observe_cell(config, profile=True)
+        assert observed["summary"] == run_cell(config).summary()
+        rows = observed["profile"]
+        # One schedule build per cycle, plus the one due at the end.
+        assert build_cycle_calls(rows) == [config.cycles + 1]
+        # Package paths start at repro/, wherever the checkout lives.
+        assert any(key.startswith("repro/core/base_station.py:")
+                   for key in rows)
+        json.dumps(rows)
 
-    def test_instrumented_run_is_bit_identical(self):
-        config = small_config()
-        plain = run_cell(config).summary()
-        run = build_cell(config)
-        instrument_cell(run, Profiler())
-        run.sim.run(until=config.duration)
-        finalize_run(run)
-        assert run.stats.summary() == plain
+    def test_merge_rows_adds_calls_and_seconds(self):
+        total = {"a.py:1(f)": {"calls": 2, "self_s": 1.0,
+                               "total_s": 3.0}}
+        merge_rows(total, {
+            "a.py:1(f)": {"calls": 1, "self_s": 0.5, "total_s": 0.5},
+            "b.py:2(g)": {"calls": 4, "self_s": 0.25, "total_s": 1.0}})
+        assert total == {
+            "a.py:1(f)": {"calls": 3, "self_s": 1.5, "total_s": 3.5},
+            "b.py:2(g)": {"calls": 4, "self_s": 0.25, "total_s": 1.0}}
 
-    def test_merge_aggregates_worker_profiles(self):
-        profiler = Profiler()
-        profiler.record("stage", 1.0)
-        other = {"stage": {"calls": 2, "total_s": 3.0, "max_s": 2.5},
-                 "new": {"calls": 1, "total_s": 0.5, "max_s": 0.5}}
-        profiler.merge(other)
-        stage = profiler.sections["stage"]
-        assert stage.calls == 3
-        assert stage.total_s == pytest.approx(4.0)
-        assert stage.max_s == pytest.approx(2.5)
-        assert profiler.sections["new"].calls == 1
+    def test_format_rows_orders_by_self_time(self):
+        rows = {
+            "light.py:1(f)": {"calls": 9, "self_s": 0.25,
+                              "total_s": 4.0},
+            "heavy.py:2(g)": {"calls": 1, "self_s": 0.75,
+                              "total_s": 0.75},
+            "idle.py:3(h)": {"calls": 1, "self_s": 0.0,
+                             "total_s": 0.0}}
+        lines = format_rows(rows, limit=2).splitlines()
+        assert lines[1].endswith("heavy.py:2(g)")
+        assert "75.0%" in lines[1]
+        assert lines[2].endswith("light.py:1(f)")
+        assert "25.0%" in lines[2]
+        assert len(lines) == 4 and lines[3].startswith("(2 of 3 ")
 
-    def test_table_orders_by_total(self):
-        profiler = Profiler()
-        profiler.record("small", 0.001)
-        profiler.record("big", 1.0)
-        lines = profiler.table().splitlines()
-        assert lines[2].startswith("big")
-        assert "100.0%" in lines[2]
+    def test_sweep_merge_is_equal_across_jobs(self, tmp_path, capsys,
+                                              fresh_registry):
+        from repro.cli import main as cli_main
+
+        merged = []
+        for jobs in ("1", "2"):
+            metrics = str(tmp_path / f"jobs{jobs}.jsonl")
+            assert cli_main(["sweep", "--loads", "0.5,0.9",
+                             "--seeds", "1", "--cycles", "20",
+                             "--warmup", "5", "--jobs", jobs,
+                             "--profile", "--metrics", metrics]) == 0
+            profile = json.loads(open(sidecar_paths(metrics)["profile"],
+                                      encoding="utf-8").read())
+            merged.append(build_cycle_calls(profile))
+        capsys.readouterr()
+        # Two points of 21 builds each, whichever process ran them.
+        assert merged == [[42], [42]]
+
+    def test_profiled_sweep_executes_cached_points(self, tmp_path,
+                                                   capsys, monkeypatch):
+        from repro.cli import main as cli_main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        for _ in range(2):
+            assert cli_main(["sweep", "--loads", "0.5", "--seeds", "1",
+                             "--cycles", "20", "--warmup", "5",
+                             "--profile"]) == 0
+            assert "(1 executed, 0 cached)" in capsys.readouterr().err
 
 
 # -- exporters and manifests ------------------------------------------------
@@ -479,7 +481,7 @@ class TestObsCli:
         assert code == 0
         captured = capsys.readouterr()
         assert "simulated 30 cycles" in captured.out
-        assert "sim.event_loop" in captured.err
+        assert "(_build_cycle)" in captured.err
 
         timeline = read_jsonl(str(metrics))
         assert len(timeline) == 30
@@ -495,7 +497,18 @@ class TestObsCli:
         assert "# TYPE osu_cycle gauge" in prom
         profile = json.loads(
             open(paths["profile"], encoding="utf-8").read())
-        assert "sim.event_loop" in profile
+        assert build_cycle_calls(profile) == [31]
+
+    def test_run_json_summary_unchanged_by_profile(self, capsys,
+                                                   fresh_registry):
+        from repro.cli import main as cli_main
+
+        assert cli_main(RUN_ARGS + ["--json"]) == 0
+        plain = capsys.readouterr().out
+        assert cli_main(RUN_ARGS + ["--json", "--profile"]) == 0
+        profiled = capsys.readouterr()
+        assert profiled.out == plain
+        assert "(_build_cycle)" in profiled.err
 
     def test_run_without_flags_stays_uninstrumented(
             self, capsys, fresh_registry):
@@ -557,10 +570,14 @@ class TestObsCli:
         metrics = tmp_path / "exp.jsonl"
         code = experiments_main(
             ["fig8a", "--quick", "--no-cache",
-             "--metrics", str(metrics), "--profile"])
+             "--metrics", str(metrics)])
         assert code == 0
         captured = capsys.readouterr()
-        assert "experiment.fig8a" in captured.err
+        assert "[metrics] registry -> " in captured.err
+        # The experiments CLI has no --profile: `repro run` and
+        # `repro sweep` profile the event loop.
+        with pytest.raises(SystemExit):
+            experiments_main(["fig8a", "--profile"])
         rows = read_jsonl(str(metrics))
         names = {row["name"] for row in rows}
         assert "engine_points_total" in names
@@ -619,5 +636,5 @@ class TestIntegration:
         json.dumps(value)  # cache/parallel compatible
         assert len(value["timeline"]) == 20
         assert value["obs"]["cycles_sampled"] == 20
-        assert "sim.event_loop" in value["profile"]
+        assert build_cycle_calls(value["profile"]) == [21]
         assert result.reduced[0]["load"] == 0.5
