@@ -16,8 +16,6 @@ import json
 import os
 from typing import Any, Callable
 
-from repro.sim.core import KERNEL_VERSION
-
 #: Bump to invalidate all caches on engine-format changes.
 CACHE_SCHEMA = 1
 
@@ -111,13 +109,12 @@ def code_fingerprint() -> str:
 def point_key(fn: Callable, config: Any) -> str:
     """The cache key of one run point.
 
-    Hash of (schema, kernel version, code, task, config).  The kernel
-    version is folded in explicitly -- in addition to the code
-    fingerprint -- so a cache produced by an installed (non-source)
-    build of an older kernel can never be served for a newer one.
+    Hash of (schema, code, task, config).  The code fingerprint covers
+    every source file of the package, the event kernel included, so
+    any kernel edit changes every key.
     """
     payload = json.dumps(
-        [CACHE_SCHEMA, KERNEL_VERSION, code_fingerprint(),
+        [CACHE_SCHEMA, code_fingerprint(),
          task_fingerprint(fn), canonical(config)],
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

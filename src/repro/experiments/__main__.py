@@ -48,7 +48,6 @@ from repro.experiments import (
     fig11_fairness,
     fig12_gains,
     gps_qos,
-    kernel_diff,
     qos_baselines,
     registration,
     robustness,
@@ -75,7 +74,6 @@ EXPERIMENTS = {
     "qos-mcns": qos_baselines.run_mcns,
     "ablation": ablation.run,
     "calibration": calibration.run,
-    "kernel-diff": kernel_diff.run,
 }
 
 

@@ -10,8 +10,7 @@ run with a stack of oracles:
 * the observability layer's independent GPS 4-second deadline check,
 * a stabilization oracle (after the last disturbance settles, no zombie
   subscribers and no leaked registry records),
-* conservation properties over the statistics and per-cycle timeline,
-* a differential oracle (calendar kernel vs the legacy heap kernel).
+* conservation properties over the statistics and per-cycle timeline.
 
 Failing cases are shrunk (:mod:`repro.fuzz.shrink`) to minimal
 reproducers, bucketed by oracle + first-violation fingerprint

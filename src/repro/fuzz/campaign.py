@@ -103,9 +103,9 @@ def run_campaign(campaign_seed: int, budget: int,
                            label={"index": case.index,
                                   "mode": case.mode})
                      for case in cases))
-    # Cache off: a fuzz verdict must come from a fresh execution (the
-    # differential and timing oracles are the point), and stale cached
-    # verdicts would mask regressions.
+    # Cache off: a fuzz verdict must come from a fresh execution (a
+    # hang or crash is a finding only when the case really runs), and
+    # stale cached verdicts would mask regressions.
     result = execute(spec, jobs=jobs, cache=False,
                      policy=RunPolicy(timeout_s=timeout_s, retries=0))
 

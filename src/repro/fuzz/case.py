@@ -59,7 +59,9 @@ class FuzzCase:
     #: argument is a string (load factor, service class, subscriber
     #: name, or a relative fault-schedule fragment).
     ops: Tuple[Tuple[int, str, str], ...] = ()
-    #: Run the legacy-kernel differential oracle on this case.
+    #: Recorded, never read.  The generator still sets it on every
+    #: eighth cell case only because verdicts embed :meth:`to_json`
+    #: and the checked-in fuzz digests hash those verdicts.
     differential: bool = False
     #: Free-text provenance (generator notes, shrink history).
     note: str = ""

@@ -62,12 +62,10 @@ class CampaignGenerator:
 
     def __init__(self, campaign_seed: int,
                  overrides: Optional[Dict[str, Any]] = None,
-                 serve_fraction: float = 0.2,
-                 differential_every: int = 8):
+                 serve_fraction: float = 0.2):
         self.campaign_seed = int(campaign_seed)
         self.overrides = dict(overrides or {})
         self.serve_fraction = float(serve_fraction)
-        self.differential_every = max(1, int(differential_every))
 
     def cases(self, budget: int) -> List[FuzzCase]:
         return [self.case(index) for index in range(budget)]
@@ -93,8 +91,6 @@ class CampaignGenerator:
         config["cycles"] = max(config["warmup_cycles"] + 30,
                                last_end + settle + tail)
 
-        differential = (mode == MODE_CELL
-                        and index % self.differential_every == 0)
         return FuzzCase(
             campaign_seed=self.campaign_seed,
             index=index,
@@ -102,7 +98,8 @@ class CampaignGenerator:
             config_items=tuple(sorted(config.items())),
             faults_text=format_faults(specs),
             ops=ops,
-            differential=differential)
+            # Recorded only; see FuzzCase.differential.
+            differential=mode == MODE_CELL and index % 8 == 0)
 
     # -- configuration ----------------------------------------------------
 

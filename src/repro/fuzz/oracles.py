@@ -20,13 +20,14 @@ never recovered" (e.g. the UID-reuse livelock).
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.cell import CellRun
+from repro.core.registration import RegistrationModule
 from repro.core.subscriber import ACTIVE
+from repro.faults.injector import StormGate
 from repro.faults.schedule import (
     KIND_CRASH,
     KIND_RESTART,
@@ -36,12 +37,13 @@ from repro.fuzz.case import FuzzCase
 from repro.fuzz.generator import settle_cycles
 from repro.obs.timeline import TimelineRecorder
 from repro.phy import timing
+from repro.phy.channel import Transmission
 
 #: Bucket priority: when several oracles object, the case files under
 #: the first of these that fired (safety first, then QoS, then
-#: convergence, then cross-checks).
+#: convergence, then engine-level harness failures).
 ORACLE_ORDER = ("invariants", "conservation", "gps_deadline",
-                "stabilization", "differential", "harness")
+                "stabilization", "harness")
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,8 @@ class Observation:
     #: Runtime disturbances as absolute ``(start, end)`` cycle pairs
     #: (serve-mode ops: injected bursts, leaves, joins).
     runtime_disturbances: Tuple[Tuple[int, int], ...] = ()
-    #: Legacy-kernel summary for the differential oracle (or None).
-    legacy_summary: Optional[Dict[str, float]] = None
+    #: GPS unit EIN -> what it heard after losing its registry record.
+    hearing: Dict[int, "ReleaseHearing"] = field(default_factory=dict)
 
     @property
     def settle(self) -> int:
@@ -86,6 +88,54 @@ class Observation:
             "eviction_backoff_jitter_cycles":
                 config.eviction_backoff_jitter_cycles,
         })
+
+
+class ReleaseHearing:
+    """Counts the CF1 sets a GPS unit heard after its record went.
+
+    It sits in front of the unit's own forward-channel callback, inside
+    the unit's storm gate when there is one, so it sees exactly what the
+    unit was given: a set that a CF storm dropped arrives here not ok
+    and is not counted.  A set heard while the base station still holds
+    the unit's record resets the count, so at the end of a run
+    ``heard`` is the number of CF1 sets delivered to the unit since the
+    base station released its record.
+    """
+
+    __slots__ = ("deliver", "ein", "registry", "heard")
+
+    def __init__(self, deliver: Callable[[Transmission, bool], None],
+                 ein: int, registry: RegistrationModule):
+        self.deliver = deliver
+        self.ein = ein
+        self.registry = registry
+        self.heard = 0
+
+    def __call__(self, transmission: Transmission, ok: bool) -> None:
+        if ok and transmission.kind == "cf1":
+            if self.registry.lookup_ein(self.ein) is None:
+                self.heard += 1
+            else:
+                self.heard = 0
+        self.deliver(transmission, ok)
+
+
+def watch_hearing(run: CellRun,
+                  hearing: Dict[int, ReleaseHearing]) -> None:
+    """Put a :class:`ReleaseHearing` on each GPS unit not yet watched."""
+    registry = run.base_station.registration
+    for unit in run.gps_units:
+        if unit.ein in hearing:
+            continue
+        channel = unit.forward_channel
+        link, callback = channel.receivers[unit.ein]
+        if isinstance(callback, StormGate):
+            watch = ReleaseHearing(callback.deliver, unit.ein, registry)
+            callback.deliver = watch
+        else:
+            watch = ReleaseHearing(callback, unit.ein, registry)
+            channel.attach(unit.ein, link, watch)
+        hearing[unit.ein] = watch
 
 
 def normalize_fingerprint(message: str) -> str:
@@ -282,7 +332,10 @@ def check_stabilization(obs: Observation) -> Iterable[Violation]:
     Judged only when the run extends past ``quiet_start`` (every
     disturbance plus its settle margin), and only with liveness leases
     on -- without leases there is no eviction, hence no zombie state to
-    converge out of.
+    converge out of.  A GPS unit is a zombie only once it has heard
+    ``eviction_detect_cycles`` CF1 sets since the base station released
+    its record: a unit the ambient channel silenced until the run ended
+    could not have noticed its eviction yet.
     """
     config = obs.run.config
     if config.liveness_lease_cycles <= 0:
@@ -294,14 +347,18 @@ def check_stabilization(obs: Observation) -> Iterable[Violation]:
     for unit in obs.run.gps_units:
         if not unit.alive or unit.state != ACTIVE or unit.uid is None:
             continue
-        if registry.lookup_ein(unit.ein) is None:
+        if registry.lookup_ein(unit.ein) is not None:
+            continue
+        watch = obs.hearing.get(unit.ein)
+        heard = watch.heard if watch is not None else 0
+        if heard >= config.eviction_detect_cycles:
             yield Violation(
                 "stabilization", obs.cycles,
                 "gps-zombie",
                 f"{unit.name} is still ACTIVE with uid {unit.uid} "
                 f"after cycle {quiet} but holds no registry record -- "
-                f"it transmits every cycle yet never detected its "
-                f"eviction")
+                f"it heard {heard} control fields since the release "
+                f"yet never detected its eviction")
     for sub in obs.run.data_users + obs.run.gps_units:
         if sub.alive:
             continue
@@ -314,24 +371,6 @@ def check_stabilization(obs: Observation) -> Iterable[Violation]:
                 f"{config.liveness_lease_cycles}-cycle lease")
 
 
-def check_differential(obs: Observation) -> Iterable[Violation]:
-    """Calendar kernel vs legacy heap kernel: summaries byte-equal."""
-    if obs.legacy_summary is None:
-        return
-    new_blob = json.dumps(obs.run.stats.summary(), sort_keys=True)
-    legacy_blob = json.dumps(obs.legacy_summary, sort_keys=True)
-    if new_blob != legacy_blob:
-        keys = sorted(
-            key for key in set(obs.run.stats.summary())
-            | set(obs.legacy_summary)
-            if obs.run.stats.summary().get(key)
-            != obs.legacy_summary.get(key))
-        yield Violation(
-            "differential", obs.cycles, "kernel-divergence",
-            f"calendar and legacy kernels diverged on "
-            f"{', '.join(keys) or 'serialization'}")
-
-
 def evaluate(obs: Observation) -> List[Violation]:
     """Run the full stack; violations sorted by bucket priority."""
     violations: List[Violation] = []
@@ -339,7 +378,6 @@ def evaluate(obs: Observation) -> List[Violation]:
     violations.extend(check_conservation(obs))
     violations.extend(check_gps_deadline(obs))
     violations.extend(check_stabilization(obs))
-    violations.extend(check_differential(obs))
     violations.sort(key=lambda violation: (
         ORACLE_ORDER.index(violation.oracle), violation.cycle,
         violation.fingerprint))

@@ -18,12 +18,18 @@ from __future__ import annotations
 
 import tempfile
 from collections import defaultdict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.cell import build_cell, finalize_run
 from repro.faults.schedule import parse_faults
 from repro.fuzz.case import MODE_SERVE, FuzzCase
-from repro.fuzz.oracles import Observation, bucket_of, evaluate
+from repro.fuzz.oracles import (
+    Observation,
+    ReleaseHearing,
+    bucket_of,
+    evaluate,
+    watch_hearing,
+)
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import TimelineRecorder
 
@@ -69,22 +75,14 @@ def _observe_cell(case: FuzzCase) -> Observation:
     run = build_cell(config)
     recorder = TimelineRecorder(run,
                                 registry=MetricsRegistry(enabled=False))
+    hearing: Dict[int, ReleaseHearing] = {}
+    watch_hearing(run, hearing)
     run.sim.run(until=config.duration)
     finalize_run(run)
-
-    legacy_summary: Optional[Dict[str, float]] = None
-    if case.differential:
-        from repro.sim.legacy import LegacySimulator
-
-        legacy_run = build_cell(config, sim=LegacySimulator())
-        legacy_run.sim.run(until=config.duration)
-        finalize_run(legacy_run)
-        legacy_summary = legacy_run.stats.summary()
-
     return Observation(case=case, run=run, recorder=recorder,
                        cycles=config.cycles,
                        scheduled=config.faults,
-                       legacy_summary=legacy_summary)
+                       hearing=hearing)
 
 
 def _observe_serve(case: FuzzCase) -> Observation:
@@ -98,6 +96,7 @@ def _observe_serve(case: FuzzCase) -> Observation:
         ops_by_cycle[cycle].append((kind, argument))
 
     disturbances: List[Tuple[int, int]] = []
+    hearing: Dict[int, ReleaseHearing] = {}
     with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as tmp:
         serve_config = ServeConfig(
             name=f"fuzz-{case.case_id}", cells=1, cycle_period_s=0.0,
@@ -117,6 +116,11 @@ def _observe_serve(case: FuzzCase) -> Observation:
                         continue
                     disturbances.append(
                         _disturbance(cycle, kind, argument, lease))
+                # A unit that joins during a step is watched from the
+                # next one.  It must register before the base station
+                # can release its record, so the sets it hears before
+                # the watch sees them never follow a release.
+                watch_hearing(service.run, hearing)
                 service.step_cycle()
             run = service.run
             finalize_run(run)
@@ -126,7 +130,8 @@ def _observe_serve(case: FuzzCase) -> Observation:
     return Observation(case=case, run=run, recorder=service.recorder,
                        cycles=case.cycles,
                        scheduled=(),
-                       runtime_disturbances=tuple(disturbances))
+                       runtime_disturbances=tuple(disturbances),
+                       hearing=hearing)
 
 
 def _enqueue(service: Any, kind: str, argument: str) -> None:

@@ -130,11 +130,6 @@ def _candidates(case: FuzzCase) -> Iterator[FuzzCase]:
                 spec, duration_cycles=max(1, spec.duration_cycles // 2))
             yield replace(case, faults_text=format_faults(trimmed))
 
-    # 7. Drop the differential re-run if it is not the failing oracle
-    #    (cheaper replays; rejected automatically when it is).
-    if case.differential:
-        yield replace(case, differential=False)
-
 
 def _shrink_int(value: int, floor: int) -> List[int]:
     """Candidate reductions for an integer: halve, then step down."""

@@ -206,7 +206,7 @@ _ENVELOPE_SINK_FUNCS = {
     "repro.shard.envelopes.message_envelope",
     "repro.shard.envelopes.handoff_envelope",
 }
-_SIM_CLASSES = {"Simulator", "LegacySimulator"}
+_SIM_CLASSES = {"Simulator"}
 _EVENT_TIME_METHODS = {"call_at", "timeout"}
 
 #: HOT reachability roots: the event loop and channel completion.
@@ -214,8 +214,6 @@ HOT_ROOT_PATTERNS: Tuple[str, ...] = (
     "repro.sim.core.Simulator.step",
     "repro.sim.core.Simulator.run",
     "repro.sim.core.Simulator.process",
-    "repro.sim.legacy.LegacySimulator.step",
-    "repro.sim.legacy.LegacySimulator.run",
     "repro.phy.channel.Link.deliver_codewords",
     "repro.phy.channel.ReverseChannel._complete",
     "repro.phy.channel.ForwardChannel._complete",

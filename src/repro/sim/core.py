@@ -21,13 +21,14 @@ The kernel therefore keeps three structures:
 * ``_times`` -- a min-heap over the *distinct* timestamps only, pushed
   once per bucket creation.
 
-Ordering is bit-identical to the previous ``(time, sequence)`` heap
-kernel (kept as :class:`repro.sim.legacy.LegacySimulator`): events
-enqueued at an earlier simulated time carry smaller sequence numbers
-than anything enqueued while the clock sits at the bucket's timestamp,
-bucket order is append order, and zero-delay events append behind the
-drained bucket -- exactly the old tie-break.  The differential harness
-(``repro.experiments.kernel_diff``) asserts this over whole sweeps.
+Events fire in ``(due time, enqueue sequence)`` order, the order of a
+single binary heap keyed that way: events enqueued at an earlier
+simulated time carry smaller sequence numbers than anything enqueued
+while the clock sits at the bucket's timestamp, bucket order is append
+order, and zero-delay events append behind the drained bucket.
+``tests/test_sim_kernel.py`` states this contract as a property test
+against such a heap, and the golden digests in ``tests/test_golden.py``
+pin whole experiment outputs.
 """
 
 from __future__ import annotations
@@ -37,13 +38,6 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional
 
 from repro.sim.events import CallbackEvent, Event, Timeout
-
-#: Bumped whenever a kernel change could alter results or performance in a
-#: way cached sweep points must not survive; folded into the result-cache
-#: key by :func:`repro.engine.hashing.point_key`.  Version 2 is the
-#: calendar-queue kernel (version 1 was the single-heap kernel, preserved
-#: in :mod:`repro.sim.legacy`).
-KERNEL_VERSION = 2
 
 _INF = float("inf")
 

@@ -13,8 +13,15 @@ import sys
 
 import pytest
 
+from repro.core.base_station import BaseStation
+from repro.core.cell import build_cell
+from repro.core.config import CellConfig
+from repro.core.registration import RegistrationModule
+from repro.core.subscriber import SubscriberBase
 from repro.engine.policy import PointFailure
 from repro.engine.telemetry import EngineStats, publish_to_registry
+from repro.faults.injector import StormGate
+from repro.faults.schedule import parse_faults
 from repro.fuzz import corpus
 from repro.fuzz.campaign import run_campaign
 from repro.fuzz.case import CASE_SCHEMA, FuzzCase
@@ -23,10 +30,13 @@ from repro.fuzz.oracles import (
     Violation,
     bucket_of,
     normalize_fingerprint,
+    watch_hearing,
 )
 from repro.fuzz.runner import run_fuzz_case
 from repro.fuzz.shrink import first_failure, shrink_case
 from repro.lint.checker import scope_for_path
+from repro.phy import timing
+from repro.phy.channel import Transmission
 
 DEMO_OVERRIDES = {"uid_allocation": "lowest_free"}
 DEMO_BUCKET = "conservation:flow:forward-packets"
@@ -109,11 +119,102 @@ class TestOracles:
         assert verdict["violations"] == []
         assert verdict["case"]["index"] == 1
 
-    def test_differential_case_runs_both_kernels(self):
-        case = CampaignGenerator(1).case(8)  # index % 8 == 0 -> diff
+    def test_differential_flag_is_only_recorded(self):
+        # Every eighth cell case still carries the flag, because the
+        # fuzz digests hash the case JSON; it changes nothing else.
+        case = CampaignGenerator(1).case(8)
         assert case.differential
+        assert not CampaignGenerator(1).case(1).differential
         verdict = run_fuzz_case(case)
         assert verdict["ok"], verdict["violations"]
+        assert verdict["case"]["differential"] is True
+
+
+class TestOraclesMustFire:
+    """Each oracle fires when the mechanism it guards is broken.
+
+    The case passes unpatched: on a perfect channel a fade silences
+    gps-0 for longer than its 6-cycle lease, the base station releases
+    the unit's record, and the unit detects the eviction and registers
+    again.  Each test breaks one mechanism with a monkeypatch and
+    asserts that the oracle guarding it objects.  Conservation's
+    must-fire test is the uid-reuse demo (``TestKnownBugDemo``).
+    """
+
+    CASE = FuzzCase(
+        campaign_seed=0, index=0, mode="cell",
+        config_items=tuple(sorted({
+            "num_data_users": 2, "num_gps_users": 2, "load_index": 0.3,
+            "error_model": "perfect", "liveness_lease_cycles": 6,
+            "cycles": 70, "warmup_cycles": 8, "seed": 11,
+        }.items())),
+        faults_text="fade:gps-0@20+8")
+
+    def _fired(self):
+        verdict = run_fuzz_case(self.CASE)
+        return {violation["oracle"] for violation in verdict["violations"]}
+
+    def test_case_passes_unpatched(self):
+        verdict = run_fuzz_case(self.CASE)
+        assert verdict["ok"], verdict["violations"]
+        assert verdict["summary"]["evictions_detected"] > 0
+
+    def test_stabilization_fires_without_eviction_detection(
+            self, monkeypatch):
+        monkeypatch.setattr(SubscriberBase, "_suspect_eviction",
+                            lambda self: None)
+        assert "stabilization" in self._fired()
+
+    def test_gps_deadline_fires_when_schedule_skips_a_unit(
+            self, monkeypatch):
+        make_cf = BaseStation._make_cf
+
+        def skipping(self, record, which):
+            cf = make_cf(self, record, which)
+            if cf.cycle % 2:
+                cf.gps_schedule[0] = None  # a fresh list per CF
+            return cf
+
+        monkeypatch.setattr(BaseStation, "_make_cf", skipping)
+        assert "gps_deadline" in self._fired()
+
+    def test_invariants_fires_when_release_keeps_the_ein(
+            self, monkeypatch):
+        def release(self, uid):
+            record = self._by_uid.pop(uid, None)
+            if record is not None:
+                self._active_counts[record.service] -= 1
+            return record
+
+        monkeypatch.setattr(RegistrationModule, "release", release)
+        assert "invariants" in self._fired()
+
+
+class TestReleaseHearing:
+    def test_storm_dropped_sets_are_not_heard(self):
+        # The watch sits inside the unit's storm gate, so a set the
+        # storm drops reaches it not ok.
+        config = CellConfig(num_data_users=1, num_gps_users=1,
+                            cycles=20, warmup_cycles=2,
+                            faults=parse_faults("cf_storm:gps-0@5+2"))
+        run = build_cell(config)
+        hearing = {}
+        watch_hearing(run, hearing)
+        unit = run.gps_units[0]
+        _, gate = run.base_station.forward.receivers[unit.ein]
+        watch = hearing[unit.ein]
+        assert isinstance(gate, StormGate) and gate.deliver is watch
+        watch.deliver = lambda transmission, ok: None  # stub the unit
+
+        def cf1(cycle):
+            return Transmission(sender="base-station", payload=None,
+                                start=cycle * timing.CYCLE_LENGTH,
+                                duration=timing.CF1_END, kind="cf1")
+
+        gate(cf1(6), True)  # inside the storm: dropped
+        assert watch.heard == 0
+        gate(cf1(8), True)  # the unit holds no record yet: heard
+        assert watch.heard == 1
 
 
 class TestShrinker:
@@ -152,7 +253,7 @@ class TestShrinker:
         assert "crash:" in result.case.faults_text
         assert "fade:" not in result.case.faults_text
         assert "cf_storm:" not in result.case.faults_text
-        assert not result.case.differential
+        assert result.case.differential  # recorded, never shrunk
         assert result.accepted > 0
         assert "shrunk from case" in result.case.note
 

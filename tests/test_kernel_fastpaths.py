@@ -1,30 +1,20 @@
-"""Tests for the hot-path refactor: shared overlap helper, the
-reference-aware RS fast path, and old-vs-new kernel bit-identity.
+"""Tests for the hot-path refactor: the shared overlap helper, the
+reference-aware RS fast path and the inlined Gilbert-Elliott draws.
 
-The full-grid differential run lives in
-``python -m repro.experiments kernel-diff`` (and the CI job); the
-tier-1 slice here covers a representative sample of configurations so
-the identity property is exercised on every test run.
+The event kernel's ordering contract is a property test in
+``tests/test_sim_kernel.py``; whole experiment outputs are pinned by
+``tests/test_golden.py``.
 """
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
 
-from repro.core.cell import build_cell, finalize_run, run_cell
-from repro.experiments.chaos import chaos_config
-from repro.experiments.kernel_diff import (
-    legacy_variant,
-    run_cell_summary_legacy,
-)
-from repro.experiments.runner import sweep_cell_config, sweep_spec
 from repro.phy.errors import GilbertElliottModel, IndependentSymbolErrors
 from repro.phy.intervals import spans_overlap
 from repro.phy.rs import RS_64_48, RSDecodeFailure
-from repro.sim.legacy import LegacySimulator
 
 
 class TestSpansOverlap:
@@ -166,38 +156,3 @@ class TestGilbertElliottDrawOrder:
             assert model.state == reference.state
             assert rng_a.getstate() == rng_b.getstate()
 
-
-class TestKernelBitIdentity:
-    """Calendar kernel == legacy heap kernel, summary-for-summary."""
-
-    @pytest.mark.parametrize("load,seed", [(0.9, 1), (1.1, 2)])
-    def test_fig8_point(self, load, seed):
-        config = sweep_cell_config(load, seed, quick=True)
-        new_summary = run_cell(config).summary()
-        legacy_summary = run_cell_summary_legacy(config)
-        assert (json.dumps(new_summary, sort_keys=True)
-                == json.dumps(legacy_summary, sort_keys=True))
-
-    def test_chaos_point(self):
-        config = chaos_config(1.0, 1.0, seed=1, quick=True)
-        new_summary = run_cell(config).summary()
-        legacy_summary = run_cell_summary_legacy(config)
-        assert (json.dumps(new_summary, sort_keys=True)
-                == json.dumps(legacy_summary, sort_keys=True))
-
-    def test_legacy_variant_rewrites_points(self):
-        spec = sweep_spec(quick=True)
-        legacy = legacy_variant(spec)
-        assert len(legacy.points) == len(spec.points)
-        assert all(point.fn is run_cell_summary_legacy
-                   for point in legacy.points)
-        assert [point.label for point in legacy.points] \
-            == [point.label for point in spec.points]
-
-    def test_legacy_simulator_is_driveable(self):
-        config = sweep_cell_config(0.5, 3, quick=True)
-        run = build_cell(config, sim=LegacySimulator())
-        run.sim.run(until=config.duration)
-        finalize_run(run)
-        summary = run.stats.summary()
-        assert summary["radio_violations"] == 0

@@ -372,8 +372,8 @@ class TestScoping:
         # the core packages and pick up the full core treatment.
         intervals = scope_for_path("src/repro/phy/intervals.py")
         assert intervals.hot and intervals.det
-        legacy = scope_for_path("src/repro/sim/legacy.py")
-        assert legacy.hot and legacy.det
+        kernel = scope_for_path("src/repro/sim/core.py")
+        assert kernel.hot and kernel.det
 
     def test_print_flagged_in_hot_extra_module(self):
         report = check_source("def sample(value):\n"

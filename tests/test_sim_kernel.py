@@ -1,6 +1,9 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import heapq
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
     AllOf,
@@ -128,6 +131,114 @@ class TestClock:
         assert sim.peek() == float("inf")
         sim.timeout(4.0)
         assert sim.peek() == 4.0
+
+
+#: Delays (and ``call_at`` offsets from ``now``) for the ordering
+#: property.  Dyadic values add exactly, so nested schedules collide on
+#: shared timestamps; ``_TINY`` is positive but too small to move a
+#: clock that reads 0.25 or more.
+_TINY = 1e-18
+_OFFSETS = (0.0, _TINY, 0.25, 0.5, 1.0)
+_KINDS = ("timeout", "call_at", "succeed")
+
+
+class HeapModel:
+    """The ordering contract: one heap keyed by (due time, enqueue seq)."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._heap = []
+        self._sequence = 0
+
+    def schedule(self, kind, offset, fn):
+        delay = 0.0 if kind == "succeed" else offset
+        self._sequence += 1
+        heapq.heappush(self._heap, (self.now + delay, self._sequence, fn))
+
+    def peek(self):
+        return self._heap[0][0] if self._heap else float("inf")
+
+    def step(self):
+        self.now, _, fn = heapq.heappop(self._heap)
+        fn()
+
+    def run(self, until=None):
+        while self._heap and (until is None or self._heap[0][0] <= until):
+            self.step()
+        if until is not None and until > self.now:
+            self.now = until
+
+
+def _schedule_on_simulator(sim, kind, offset, fn):
+    if kind == "timeout":
+        sim.timeout(offset).add_callback(lambda event: fn())
+    elif kind == "call_at":
+        sim.call_at(sim.now + offset, fn)
+    else:
+        event = sim.event()
+        event.add_callback(lambda event: fn())
+        event.succeed()
+
+
+def _execute(kernel, schedule, nodes, drive):
+    """Run one random program; returns everything the order decides.
+
+    ``nodes[i] = (pick, kind, offset)``: node ``i`` is scheduled by the
+    firing of node ``pick % (i + 1) - 1``, or, when that is -1, from
+    outside any callback just before drive op ``pick % (len(drive) +
+    1)``.  A final ``run()`` drains what is left.
+    """
+    children = [[] for _ in nodes]
+    roots = [[] for _ in range(len(drive) + 1)]
+    for index, (pick, _, _) in enumerate(nodes):
+        parent = pick % (index + 1) - 1
+        if parent < 0:
+            roots[pick % (len(drive) + 1)].append(index)
+        else:
+            children[parent].append(index)
+    observed = []
+
+    def enqueue(index):
+        _, kind, offset = nodes[index]
+        schedule(kernel, kind, offset, lambda: fire(index))
+
+    def fire(index):
+        observed.append(("fire", index, kernel.now))
+        for child in children[index]:
+            enqueue(child)
+
+    for slot, (op, span) in enumerate(list(drive) + [("run", None)]):
+        for index in roots[slot]:
+            enqueue(index)
+        if op == "step":
+            if kernel.peek() != float("inf"):
+                kernel.step()
+        elif op == "until":
+            kernel.run(until=kernel.now + span)
+        else:
+            kernel.run()
+        observed.append((op, kernel.now, kernel.peek()))
+    return observed
+
+
+class TestOrderingContract:
+    """Every schedule fires in (due time, enqueue sequence) order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(nodes=st.lists(st.tuples(st.integers(0, 60),
+                                    st.sampled_from(_KINDS),
+                                    st.sampled_from(_OFFSETS)),
+                          min_size=1, max_size=30),
+           drive=st.lists(st.one_of(
+               st.just(("step", None)),
+               st.tuples(st.just("until"),
+                         st.sampled_from((0.0, 0.25, 0.3, 1.0)))),
+               max_size=8))
+    def test_matches_heap_model(self, nodes, drive):
+        expected = _execute(HeapModel(), HeapModel.schedule, nodes, drive)
+        actual = _execute(Simulator(), _schedule_on_simulator, nodes,
+                          drive)
+        assert actual == expected
 
 
 class TestProcesses:
