@@ -18,9 +18,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.cell import run_cell_detailed
 from repro.core.config import CellConfig
@@ -250,12 +251,6 @@ def _command_network(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments.__main__ import run as experiments_run
-
-    return experiments_run(args)
-
-
 def _observed_sweep(args: argparse.Namespace, loads, seeds, policy):
     """Run the sweep through the observed spec and write artifacts."""
     from repro.engine import execute
@@ -391,30 +386,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import run as lint_run
-
-    return lint_run(args)
-
-
-def _command_serve(args: argparse.Namespace) -> int:
-    from repro.serve.cli import run as serve_run
-
-    return serve_run(args)
-
-
-def _command_fuzz(args: argparse.Namespace) -> int:
-    from repro.fuzz.cli import run as fuzz_run
-
-    return fuzz_run(args)
-
-
-def _command_city(args: argparse.Namespace) -> int:
-    from repro.shard.cli import run as city_run
-
-    return city_run(args)
-
-
 def _command_obs(args: argparse.Namespace) -> int:
     """Render a recorded timeline (``--metrics`` output) as charts."""
     from repro.obs.export import read_jsonl
@@ -452,110 +423,114 @@ def _command_obs(args: argparse.Namespace) -> int:
     return 0
 
 
+def _configure_run(parser: argparse.ArgumentParser) -> None:
+    _add_cell_arguments(parser)
+    _add_obs_arguments(parser)
+    parser.add_argument("--trace", metavar="PATH", default=None,
+                        help="dump the protocol event trace to "
+                             "PATH as JSONL")
+    parser.set_defaults(handler=_command_run)
+
+
+def _configure_network(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--cells", type=int, default=2)
+    parser.add_argument("--load", type=float, default=0.4)
+    parser.add_argument("--inter-cell", type=float, default=0.5)
+    parser.add_argument("--data-users", type=int, default=6)
+    parser.add_argument("--gps-users", type=int, default=2)
+    parser.add_argument("--cycles", type=int, default=150)
+    parser.add_argument("--warmup", type=int, default=20)
+    parser.add_argument("--handoffs", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--metrics", metavar="PATH", default=None,
+                        help="write osu_network_* families to "
+                             "PATH in Prometheus text format")
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(handler=_command_network)
+
+
+def _configure_sweep(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--loads", default="",
+                        help="comma-separated load indices "
+                             "(default: the paper's sweep)")
+    parser.add_argument("--seeds", default="1,2,3",
+                        help="comma-separated seeds")
+    parser.add_argument("--data-users", type=int, default=9)
+    parser.add_argument("--gps-users", type=int, default=2)
+    parser.add_argument("--cycles", type=int, default=200)
+    parser.add_argument("--warmup", type=int, default=30)
+    parser.add_argument("--jobs", type=int, default=None)
+    parser.add_argument("--no-cache", action="store_true")
+    _add_resilience_arguments(parser)
+    _add_obs_arguments(parser)
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(handler=_command_sweep)
+
+
+def _configure_obs(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("path",
+                        help="timeline JSONL written by --metrics")
+    parser.add_argument("--columns", default="",
+                        help="comma-separated timeline columns to "
+                             "chart (default: the headline set)")
+    parser.add_argument("--where", action="append", default=[],
+                        metavar="KEY=VALUE",
+                        help="filter records by a label or field "
+                             "(repeatable), e.g. --where load=0.8")
+    parser.add_argument("--json", action="store_true",
+                        help="print a digest of the timeline as "
+                             "JSON instead of charts")
+    parser.set_defaults(handler=_command_obs)
+
+
+def _delegate(module: str) -> Callable[[argparse.ArgumentParser], None]:
+    """Configure a sub-command whose ``configure_parser`` and ``run``
+    live in ``module``."""
+    def configure(parser: argparse.ArgumentParser) -> None:
+        cli = importlib.import_module(module)
+        cli.configure_parser(parser)
+        parser.set_defaults(handler=cli.run)
+    return configure
+
+
+#: (name, help, configure) of every sub-command, in ``--help`` order.
+_COMMANDS = (
+    ("run", "simulate one cell and print its metrics", _configure_run),
+    ("network", "simulate a multi-cell network with handoffs",
+     _configure_network),
+    ("experiments", "regenerate the paper's tables and figures",
+     _delegate("repro.experiments.__main__")),
+    ("sweep", "run a load sweep on the engine and print points",
+     _configure_sweep),
+    ("lint", "run maclint, the protocol-aware static analyzer",
+     _delegate("repro.lint.cli")),
+    ("serve", "run cells as a supervised long-lived service "
+              "with checkpoints and a live control plane",
+     _delegate("repro.serve.cli")),
+    ("fuzz", "run deterministic adversarial campaigns with "
+             "invariant oracles, shrinking, and a regression "
+             "corpus",
+     _delegate("repro.fuzz.cli")),
+    ("city", "run a city-scale sharded multicell simulation "
+             "in lockstep epochs",
+     _delegate("repro.shard.cli")),
+    ("obs", "render a recorded per-cycle timeline", _configure_obs),
+)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="OSU-MAC reproduction: simulate cells, networks, "
                     "and regenerate the paper's evaluation.")
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    run_parser = subparsers.add_parser(
-        "run", help="simulate one cell and print its metrics")
-    _add_cell_arguments(run_parser)
-    _add_obs_arguments(run_parser)
-    run_parser.add_argument("--trace", metavar="PATH", default=None,
-                            help="dump the protocol event trace to "
-                                 "PATH as JSONL")
-    run_parser.set_defaults(handler=_command_run)
-
-    network_parser = subparsers.add_parser(
-        "network", help="simulate a multi-cell network with handoffs")
-    network_parser.add_argument("--cells", type=int, default=2)
-    network_parser.add_argument("--load", type=float, default=0.4)
-    network_parser.add_argument("--inter-cell", type=float, default=0.5)
-    network_parser.add_argument("--data-users", type=int, default=6)
-    network_parser.add_argument("--gps-users", type=int, default=2)
-    network_parser.add_argument("--cycles", type=int, default=150)
-    network_parser.add_argument("--warmup", type=int, default=20)
-    network_parser.add_argument("--handoffs", type=int, default=0)
-    network_parser.add_argument("--seed", type=int, default=1)
-    network_parser.add_argument("--metrics", metavar="PATH",
-                                default=None,
-                                help="write osu_network_* families to "
-                                     "PATH in Prometheus text format")
-    network_parser.add_argument("--json", action="store_true")
-    network_parser.set_defaults(handler=_command_network)
-
-    experiments_parser = subparsers.add_parser(
-        "experiments", help="regenerate the paper's tables and figures")
-    from repro.experiments.__main__ import (
-        configure_parser as _configure_experiments,
-    )
-    _configure_experiments(experiments_parser)
-    experiments_parser.set_defaults(handler=_command_experiments)
-
-    sweep_parser = subparsers.add_parser(
-        "sweep", help="run a load sweep on the engine and print points")
-    sweep_parser.add_argument("--loads", default="",
-                              help="comma-separated load indices "
-                                   "(default: the paper's sweep)")
-    sweep_parser.add_argument("--seeds", default="1,2,3",
-                              help="comma-separated seeds")
-    sweep_parser.add_argument("--data-users", type=int, default=9)
-    sweep_parser.add_argument("--gps-users", type=int, default=2)
-    sweep_parser.add_argument("--cycles", type=int, default=200)
-    sweep_parser.add_argument("--warmup", type=int, default=30)
-    sweep_parser.add_argument("--jobs", type=int, default=None)
-    sweep_parser.add_argument("--no-cache", action="store_true")
-    _add_resilience_arguments(sweep_parser)
-    _add_obs_arguments(sweep_parser)
-    sweep_parser.add_argument("--json", action="store_true")
-    sweep_parser.set_defaults(handler=_command_sweep)
-
-    lint_parser = subparsers.add_parser(
-        "lint", help="run maclint, the protocol-aware static analyzer")
-    from repro.lint.cli import configure_parser as _configure_lint
-    _configure_lint(lint_parser)
-    lint_parser.set_defaults(handler=_command_lint)
-
-    serve_parser = subparsers.add_parser(
-        "serve", help="run cells as a supervised long-lived service "
-                      "with checkpoints and a live control plane")
-    from repro.serve.cli import configure_parser as _configure_serve
-    _configure_serve(serve_parser)
-    serve_parser.set_defaults(handler=_command_serve)
-
-    fuzz_parser = subparsers.add_parser(
-        "fuzz", help="run deterministic adversarial campaigns with "
-                     "invariant oracles, shrinking, and a regression "
-                     "corpus")
-    from repro.fuzz.cli import configure_parser as _configure_fuzz
-    _configure_fuzz(fuzz_parser)
-    fuzz_parser.set_defaults(handler=_command_fuzz)
-
-    city_parser = subparsers.add_parser(
-        "city", help="run a city-scale sharded multicell simulation "
-                     "in lockstep epochs")
-    from repro.shard.cli import configure_parser as _configure_city
-    _configure_city(city_parser)
-    city_parser.set_defaults(handler=_command_city)
-
-    obs_parser = subparsers.add_parser(
-        "obs", help="render a recorded per-cycle timeline")
-    obs_parser.add_argument("path",
-                            help="timeline JSONL written by --metrics")
-    obs_parser.add_argument("--columns", default="",
-                            help="comma-separated timeline columns to "
-                                 "chart (default: the headline set)")
-    obs_parser.add_argument("--where", action="append", default=[],
-                            metavar="KEY=VALUE",
-                            help="filter records by a label or field "
-                                 "(repeatable), e.g. --where load=0.8")
-    obs_parser.add_argument("--json", action="store_true",
-                            help="print a digest of the timeline as "
-                                 "JSON instead of charts")
-    obs_parser.set_defaults(handler=_command_obs)
-
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # Every sub-command is listed, but only the chosen one is
+    # configured, so a command imports no other command's package.
+    for name, help_text, configure in _COMMANDS:
+        command_parser = subparsers.add_parser(name, help=help_text)
+        if argv[:1] == [name]:
+            configure(command_parser)
     args = parser.parse_args(argv)
     return args.handler(args)
 

@@ -24,7 +24,7 @@ format 1, so holes between allocated slots are wasted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.phy import timing
 

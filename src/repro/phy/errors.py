@@ -23,7 +23,7 @@ corrupted.  Two families of models reproduce this:
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.phy.timing import REVERSE_SYMBOL_RATE
 
@@ -62,10 +62,13 @@ class IndependentSymbolErrors(ErrorModel):
         p = self.symbol_error_rate
         if p == 0.0:
             return out
+        # Hot path: the draw methods are hoisted, as in
+        # GilbertElliottModel.corrupt; the draws are unchanged.
+        random_ = rng.random
+        randrange = rng.randrange
         for index in range(len(out)):
-            if rng.random() < p:
-                error = rng.randrange(1, 256)
-                out[index] ^= error
+            if random_() < p:
+                out[index] ^= randrange(1, 256)
         return out
 
 

@@ -6,7 +6,9 @@ RS codes over GF(256) (the same field used by CCSDS and DVB RS codecs and
 consistent with the paper's RS(64,48) over GF(256)).
 
 Elements are plain ints in ``[0, 255]``.  Multiplication and inversion go
-through log/antilog tables built once at import time.
+through log/antilog tables built once at import time, and
+:data:`GF256.mul_tables` holds one ``bytes.translate`` table per
+multiplier, so scaling a whole byte string by a constant is one C call.
 """
 
 from __future__ import annotations
@@ -36,11 +38,28 @@ def _build_tables() -> None:
 _build_tables()
 
 
+def _build_mul_tables() -> List[bytes]:
+    """``tables[c][x] == c * x``: row alpha^(i+1) is row alpha^i doubled,
+    so 255 translates build all 64 KB."""
+    double = bytes([_EXP[_LOG[x] + 1] if x else 0 for x in range(256)])
+    tables = [bytes(256)] * 256
+    row = bytes(range(256))
+    for power in range(255):
+        tables[_EXP[power]] = row
+        row = row.translate(double)
+    return tables
+
+
+_MUL = _build_mul_tables()
+
+
 class GF256:
     """Namespace of GF(2^8) operations on int-encoded elements."""
 
     exp = _EXP
     log = _LOG
+    #: ``data.translate(mul_tables[c])`` multiplies every byte by ``c``.
+    mul_tables = _MUL
 
     @staticmethod
     def add(a: int, b: int) -> int:

@@ -7,7 +7,9 @@ t = 8 symbol errors).  This module implements:
 * systematic encoding against the generator polynomial
   ``g(x) = prod_{i=0}^{2t-1} (x - alpha^i)``,
 * decoding via syndromes, Berlekamp--Massey, Chien search and the Forney
-  algorithm, with optional erasure information,
+  algorithm, with optional erasure information; the field arithmetic
+  runs on ``bytes.translate`` tables (:data:`GF256.mul_tables`), one
+  C call per scaled column or polynomial,
 * explicit decode-failure detection (:class:`RSDecodeFailure`) -- the
   behaviour the paper relies on: a codeword is either recovered exactly or
   the decoder refuses to output, so corrupted packets are *lost*, never
@@ -19,9 +21,14 @@ information symbols that are never transmitted.
 
 from __future__ import annotations
 
+import operator
 from typing import List, Optional, Sequence, Tuple
 
 from repro.phy.gf256 import GF256
+
+_EXP = GF256.exp
+_LOG = GF256.log
+_MUL = GF256.mul_tables
 
 
 class RSDecodeFailure(Exception):
@@ -52,6 +59,18 @@ class ReedSolomon:
         self.nsym = n - k
         self.t = self.nsym // 2
         self.generator_poly = self._build_generator(self.nsym, fcr)
+        # Symbol ``pos`` has locator X = alpha^(n-1-pos).  Its column
+        # holds X^(i+fcr) for each syndrome i, so a symbol v adds
+        # column.translate(mul_tables[v]) to the syndromes; row d holds
+        # X^-d for every position, so a polynomial evaluates at all n
+        # inverse locators with one translate per coefficient.
+        self._syndrome_columns = [
+            bytes(_EXP[(i + fcr) * (n - 1 - pos) % 255]
+                  for i in range(self.nsym))
+            for pos in range(n)]
+        self._power_rows = [
+            bytes(_EXP[-d * (n - 1 - pos) % 255] for pos in range(n))
+            for d in range(self.nsym + 1)]
 
     @staticmethod
     def _build_generator(nsym: int, fcr: int) -> List[int]:
@@ -111,7 +130,7 @@ class ReedSolomon:
             raise RSDecodeFailure("more erasures than parity symbols")
 
         syndromes = self._syndromes(word)
-        if all(s == 0 for s in syndromes):
+        if not any(syndromes):
             return bytes(word[:self.k])
 
         erasure_locator = self._erasure_locator(erasure_positions)
@@ -126,7 +145,7 @@ class ReedSolomon:
 
         corrected = self._forney(word, syndromes, combined, positions)
 
-        if any(s != 0 for s in self._syndromes(corrected)):
+        if any(self._syndromes(corrected)):
             raise RSDecodeFailure("residual syndrome after correction")
         return bytes(corrected[:self.k])
 
@@ -134,47 +153,69 @@ class ReedSolomon:
                          reference: Sequence[int]) -> bytes:
         """Decode ``received`` knowing the codeword that was transmitted.
 
-        The channel simulator always knows the clean codeword, which
-        lets it skip the full syndrome/BM/Chien/Forney pipeline in the
-        overwhelmingly common cases:
+        The channel simulator always knows the clean codeword, so it
+        decodes the error pattern ``received XOR reference`` instead of
+        the received word:
 
-        * ``received`` differs from ``reference`` in at most ``t``
-          symbols: bounded-distance decoding is *guaranteed* to succeed
-          and return the transmitted information symbols (the received
-          word lies inside the transmitted codeword's decoding sphere,
-          so no other codeword can be closer).
-        * more than ``t`` symbol errors: the outcome (failure, or a
-          miscorrection to a different codeword) depends on the exact
-          error pattern, so the full decoder runs as the oracle.
+        * at most ``t`` symbols differ: bounded-distance decoding is
+          *guaranteed* to succeed and return the transmitted information
+          symbols (the received word lies inside the transmitted
+          codeword's decoding sphere, so no other codeword can be
+          closer).  A C-level compare, then one integer XOR and a
+          count of zero bytes, decide it; no decoder runs.
+        * more than ``t``: the outcome (failure, or a miscorrection to a
+          different codeword) depends on the exact pattern, so
+          :meth:`decode` runs on the pattern, which is nonzero only where
+          errors hit.  Syndromes are linear and vanish on every
+          codeword, so the pattern has the received word's syndromes,
+          locator, error positions and magnitudes: it fails with the same
+          message, or its corrected information symbols XOR the
+          reference's are those :meth:`decode` would return.
 
         The result is therefore bit-identical to ``decode(received)``
         for every input, assuming ``reference`` really is the
         transmitted codeword.
         """
-        word = list(received)
-        if len(word) != self.n or len(reference) != self.n:
+        n = self.n
+        word = bytes(received)
+        if len(word) != n or len(reference) != n:
             return self.decode(received)
-        errors = 0
-        limit = self.t
-        for got, sent in zip(word, reference):
-            if got != sent:
-                errors += 1
-                if errors > limit:
-                    return self.decode(received)
-        return bytes(reference[:self.k])
+        if word == reference:
+            return bytes(reference[:self.k])
+        pattern = (int.from_bytes(word, "big")
+                   ^ int.from_bytes(reference, "big")).to_bytes(n, "big")
+        if pattern.count(0) >= n - self.t:
+            return bytes(reference[:self.k])
+        return bytes(map(operator.xor, self.decode(pattern), reference))
 
     def check(self, received: Sequence[int]) -> bool:
         """True when the word is a valid codeword (all syndromes zero)."""
         word = list(received)
         if len(word) != self.n:
             return False
-        return all(s == 0 for s in self._syndromes(word))
+        return not any(self._syndromes(word))
 
     # -- decoder internals ------------------------------------------------
 
-    def _syndromes(self, word: Sequence[int]) -> List[int]:
-        return [GF256.poly_eval(word, GF256.pow(2, i + self.fcr))
-                for i in range(self.nsym)]
+    def _syndromes(self, word: Sequence[int]) -> bytes:
+        """``S_i = word(alpha^(i+fcr))``: one column per nonzero symbol."""
+        columns = self._syndrome_columns
+        total = 0
+        for pos, symbol in enumerate(word):
+            if symbol:
+                total ^= int.from_bytes(
+                    columns[pos].translate(_MUL[symbol]), "big")
+        return total.to_bytes(self.nsym, "big")
+
+    def _evaluate_at_positions(self, poly: Sequence[int]) -> bytes:
+        """``poly`` (high-order first) at X^-1 for every position's X."""
+        rows = self._power_rows
+        total = 0
+        for degree, coeff in enumerate(reversed(poly)):
+            if coeff:
+                total ^= int.from_bytes(
+                    rows[degree].translate(_MUL[coeff]), "big")
+        return total.to_bytes(self.n, "big")
 
     def _erasure_locator(self, positions: Sequence[int]) -> List[int]:
         locator = [1]
@@ -199,29 +240,34 @@ class ReedSolomon:
         return fsynd
 
     def _berlekamp_massey(self, syndromes: Sequence[int],
-                          erasure_count: int) -> List[int]:
+                          erasure_count: int) -> bytes:
         """Error-locator polynomial via Berlekamp--Massey (low-order last).
 
         ``syndromes`` here are the Forney-modified syndromes, so the
         locator found covers only the *errors* (not the erasures); only the
-        first ``nsym - erasure_count`` entries are meaningful.
+        first ``nsym - erasure_count`` entries are meaningful.  The
+        polynomials are bytes: scaling one is a translate, and adding
+        two is an XOR of big-endian integers, which aligns their
+        constant terms.
         """
-        err_loc = [1]
-        old_loc = [1]
+        err_loc = old_loc = b"\x01"
         for i in range(len(syndromes) - erasure_count):
-            old_loc = old_loc + [0]
+            old_loc += b"\x00"
             delta = syndromes[i]
-            for j in range(1, len(err_loc)):
-                delta ^= GF256.mul(err_loc[-(j + 1)],
-                                   syndromes[i - j])
-            if delta != 0:
+            for coeff, syndrome in zip(err_loc[-2::-1],
+                                       syndromes[i - 1::-1]):
+                delta ^= _MUL[coeff][syndrome]
+            if delta:
                 if len(old_loc) > len(err_loc):
-                    new_loc = GF256.poly_scale(old_loc, delta)
-                    old_loc = GF256.poly_scale(err_loc, GF256.inv(delta))
-                    err_loc = new_loc
-                err_loc = GF256.poly_add(
-                    err_loc, GF256.poly_scale(old_loc, delta))
-        err_loc = GF256.poly_strip(err_loc)
+                    err_loc, old_loc = (
+                        old_loc.translate(_MUL[delta]),
+                        err_loc.translate(_MUL[GF256.inv(delta)]))
+                err_loc = (int.from_bytes(err_loc, "big")
+                           ^ int.from_bytes(old_loc.translate(_MUL[delta]),
+                                            "big")
+                           ).to_bytes(len(err_loc), "big")
+        # The constant term stays 1, so only leading zeros go.
+        err_loc = err_loc.lstrip(b"\x00")
         errors = len(err_loc) - 1
         if errors * 2 + erasure_count > self.nsym:
             raise RSDecodeFailure(
@@ -232,14 +278,10 @@ class ReedSolomon:
     def _chien_search(self, locator: Sequence[int]) -> Optional[List[int]]:
         """Positions of errors, or None when root count != degree."""
         degree = len(GF256.poly_strip(locator)) - 1
-        positions = []
-        for pos in range(self.n):
-            x_inv = GF256.pow(2, self.n - 1 - pos)
-            if GF256.poly_eval(locator, GF256.inv(x_inv)) == 0:
-                positions.append(pos)
-        if len(positions) != degree:
+        values = self._evaluate_at_positions(locator)
+        if values.count(0) != degree:
             return None
-        return positions
+        return [pos for pos, value in enumerate(values) if not value]
 
     def _forney(self, word: Sequence[int], syndromes: Sequence[int],
                 locator: Sequence[int],
@@ -247,30 +289,26 @@ class ReedSolomon:
         """Error magnitudes via the Forney algorithm; returns corrected word."""
         # Error evaluator Omega(x) = Syn(x) * Lambda(x) mod x^nsym,
         # with Syn(x) low-order first.
-        syn_poly = list(reversed(list(syndromes)))  # high-order first
-        product = GF256.poly_mul(syn_poly, locator)
-        omega = product[-self.nsym:]
+        omega = GF256.poly_mul(syndromes[::-1], locator)[-self.nsym:]
+        # Formal derivative of Lambda: in GF(2^m) it keeps the odd terms,
+        # each one degree lower (high-order-first storage).
+        locator = GF256.poly_strip(locator)
+        degree = len(locator) - 1
+        derivative = [coeff if (degree - index) % 2 else 0
+                      for index, coeff in enumerate(locator[:-1])]
+        numerators = self._evaluate_at_positions(omega)
+        denominators = self._evaluate_at_positions(derivative)
         corrected = list(word)
-        # Formal derivative of Lambda (high-order-first storage).
-        locator_list = GF256.poly_strip(locator)
-        degree = len(locator_list) - 1
         for pos in positions:
-            x = GF256.pow(2, self.n - 1 - pos)  # locator value X_j
-            x_inv = GF256.inv(x)
-            # Lambda'(X_j^-1): in GF(2^m) the derivative keeps odd terms.
-            derivative = 0
-            for power in range(degree + 1):
-                coeff = locator_list[len(locator_list) - 1 - power]
-                if power % 2 == 1 and coeff:
-                    derivative ^= GF256.mul(
-                        coeff, GF256.pow(x_inv, power - 1))
-            if derivative == 0:
+            denominator = denominators[pos]
+            if not denominator:
                 raise RSDecodeFailure("Forney derivative vanished")
-            numerator = GF256.poly_eval(omega, x_inv)
-            magnitude = GF256.div(numerator, derivative)
-            # e_j = X_j^(1-fcr) * Omega(X_j^-1) / Lambda'(X_j^-1).
-            magnitude = GF256.mul(magnitude, GF256.pow(x, 1 - self.fcr))
-            corrected[pos] ^= magnitude
+            numerator = numerators[pos]
+            if numerator:
+                # e_j = X_j^(1-fcr) * Omega(X_j^-1) / Lambda'(X_j^-1).
+                corrected[pos] ^= _EXP[
+                    (_LOG[numerator] - _LOG[denominator]
+                     + (self.n - 1 - pos) * (1 - self.fcr)) % 255]
         return corrected
 
 

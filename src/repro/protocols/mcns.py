@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
 
 from repro.sim.rng import RandomStreams
 from repro.protocols.base import ProtocolStats, resolve_contention

@@ -23,7 +23,7 @@ deadline misses under a lossy channel can be measured (experiment X3).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, List, Optional
 
 from repro.protocols.base import ProtocolStats, resolve_contention

@@ -1,12 +1,8 @@
 """Focused tests of base-station internals via a live (small) cell."""
 
-import pytest
-
 from repro.core.cell import build_cell, run_cell_detailed
 from repro.core.config import CellConfig
-from repro.core.fields import AckEntry
-from repro.core.packets import ForwardPacket, SERVICE_DATA, SERVICE_GPS
-from repro.phy import timing
+from repro.core.packets import ForwardPacket, SERVICE_GPS
 
 
 def build(**overrides):

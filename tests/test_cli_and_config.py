@@ -1,6 +1,9 @@
 """Tests for the CLI entry points and configuration validation."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -97,6 +100,30 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "table1.csv").exists()
         capsys.readouterr()
+
+    def test_run_imports_no_other_command(self):
+        """Only the chosen sub-command is configured, so ``run`` loads
+        no other command's package (a fresh interpreter sees it)."""
+        code = (
+            "import contextlib, io, sys\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['run', '--cycles', '1', '--warmup', '0',\n"
+            "                 '--json']) == 0\n"
+            "print('\\n'.join(sorted(sys.modules)))\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        modules = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True, timeout=120).stdout.split()
+        assert "repro.core.cell" in modules
+        others = [name for name in modules
+                  if name.split(".")[:2] in (
+                      ["repro", "lint"], ["repro", "fuzz"],
+                      ["repro", "serve"], ["repro", "shard"],
+                      ["repro", "experiments"])]
+        assert others == []
 
 
 class TestExperimentsCli:

@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.fields import AckEntry, ControlFields, EIN_EMPTY
+from repro.core.fields import AckEntry, ControlFields
 from repro.phy import timing
-from repro.phy.rs import RS_64_48, RSDecodeFailure
+from repro.phy.rs import RSDecodeFailure
 
 uid_or_none = st.one_of(st.none(), st.integers(0, 62))
 

@@ -7,8 +7,6 @@ cross-checks (a decode that disagrees with the logical packet raises).
 These tests exercise that whole path under live traffic.
 """
 
-import pytest
-
 from repro import CellConfig, run_cell, run_cell_detailed
 from repro.core.subscriber import ACTIVE
 

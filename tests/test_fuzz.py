@@ -24,7 +24,7 @@ from repro.faults.injector import StormGate
 from repro.faults.schedule import parse_faults
 from repro.fuzz import corpus
 from repro.fuzz.campaign import run_campaign
-from repro.fuzz.case import CASE_SCHEMA, FuzzCase
+from repro.fuzz.case import FuzzCase
 from repro.fuzz.generator import CampaignGenerator, settle_cycles
 from repro.fuzz.oracles import (
     Violation,

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.core.cell import run_cell_detailed
 from repro.core.config import CellConfig
 from repro.engine import execute
 from repro.experiments import chaos, registration
@@ -60,6 +61,48 @@ def serve_config(root, cycles: int) -> ServeConfig:
     return ServeConfig(name="golden", cells=1, cycle_period_s=0.0,
                        max_cycles=cycles, journal_root=str(root),
                        history_cycles=16)
+
+
+def phy_cell_digest(config: CellConfig) -> str:
+    """A cell's summary plus every subscriber link's codeword counts,
+    forward then reverse, data users before GPS units."""
+    run = run_cell_detailed(config)
+    links = [[link.codewords_sent, link.codewords_lost]
+             for unit in run.data_users + run.gps_units
+             for link in (unit.forward_link, unit.reverse_link)]
+    return digest_of({"summary": run.stats.summary(), "links": links})
+
+
+#: Symbol-level channels: each codeword is corrupted symbol by symbol
+#: and run through the RS decoder, so these pin the codec's outcomes.
+PHY_CELLS = {
+    # survives() on a Gilbert-Elliott channel.
+    "ge": (CellConfig(num_data_users=9, num_gps_users=3, load_index=0.8,
+                      error_model="ge", cycles=200, warmup_cycles=20,
+                      seed=1),
+           "82af52f8599b580ec84f8a3e129c6347"
+           "f11d8e5859abcd0b4b3848b08e6c1550"),
+    # survives() on an i.i.d. symbol-error channel.
+    "iid": (CellConfig(num_data_users=9, num_gps_users=3, load_index=0.8,
+                       error_model="iid", symbol_error_rate=0.05,
+                       cycles=200, warmup_cycles=20, seed=1),
+            "fd15e0625aa65ca02354b1e85bdb1111"
+            "78448d7265d5e79893bc5c764ed741b4"),
+    # deliver_codewords() over real codewords.
+    "full_fidelity_iid": (
+        CellConfig(num_data_users=5, num_gps_users=2, load_index=0.5,
+                   error_model="iid", symbol_error_rate=0.08,
+                   full_fidelity=True, cycles=100, warmup_cycles=15,
+                   seed=8),
+        "291b0fd4974bf5197b634b061228159c"
+        "2c5b8997e2035232e60181b7ec4c354d"),
+}
+
+
+@pytest.mark.parametrize("name", list(PHY_CELLS))
+def test_symbol_level_channel(name):
+    config, expected = PHY_CELLS[name]
+    assert_golden(f"{name} cell", phy_cell_digest(config), expected)
 
 
 def test_fig8_quick_sweep():

@@ -11,7 +11,6 @@ from hypothesis.stateful import (
 
 from repro import CellConfig, run_cell_detailed
 from repro.core.gps_slots import GpsSlotManager
-from repro.phy import timing
 
 
 class GpsSlotMachine(RuleBasedStateMachine):

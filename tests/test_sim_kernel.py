@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.sim import (
     AllOf,
     AnyOf,
-    Event,
     Interrupt,
     RandomStreams,
     Resource,

@@ -1,7 +1,5 @@
 """Tests that the derived PHY timing matches Tables 1 and 2 of the paper."""
 
-import math
-
 import pytest
 
 from repro.phy import timing
