@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set
+from functools import partial
+from typing import Callable, Container, Deque, Dict, List, Optional, Set
 
 from repro.core.config import CellConfig
 from repro.core.fields import AckEntry, ControlFields
@@ -85,11 +86,16 @@ class SlotResult:
 
 
 class CycleRecord:
-    """The schedule the base station committed for one cycle."""
+    """The schedule the base station committed for one cycle.
+
+    ``slot_results`` holds what was observed in each reverse data slot
+    of the cycle, indexed by slot (None until a frame arrives there).
+    """
 
     __slots__ = ("cycle", "start", "layout", "gps_assignment",
                  "data_assignment", "contention_slots",
-                 "forward_assignment", "cf2_listener", "grants")
+                 "forward_assignment", "cf2_listener", "grants",
+                 "slot_results")
 
     def __init__(self, cycle: int, start: float,
                  layout: timing.ReverseLayout,
@@ -108,6 +114,8 @@ class CycleRecord:
         self.forward_assignment = forward_assignment
         self.cf2_listener = cf2_listener
         self.grants = {} if grants is None else grants
+        self.slot_results: List[Optional[SlotResult]] = \
+            [None] * layout.data_slots
 
     @property
     def last_data_slot(self) -> int:
@@ -151,7 +159,6 @@ class BaseStation:
 
         self.cycle = 0
         self._records: Dict[int, CycleRecord] = {}
-        self._slot_results: Dict["tuple[int, int]", SlotResult] = {}
         #: Recently delivered (uid, seq) pairs, for duplicate suppression.
         self._recent_seqs: Dict[int, Set[int]] = {}
         #: Liveness leases: uid -> cycle the base station last heard an
@@ -286,11 +293,11 @@ class BaseStation:
                 grants[evicted] -= 1
             cf2_listener = None
 
-        reverse_tx = self._reverse_tx_intervals(
-            t0, layout, gps_assignment, data_assignment)
         forward_demands = {uid: len(queue)
                            for uid, queue in self.forward_queues.items()
                            if queue}
+        reverse_tx = self._reverse_tx_intervals(
+            t0, layout, gps_assignment, data_assignment, forward_demands)
         forward_assignment = self.forward_scheduler.allocate(
             forward_demands, reverse_tx, cf2_listener, t0)
 
@@ -315,15 +322,17 @@ class BaseStation:
     def _reverse_tx_intervals(t0: float, layout: timing.ReverseLayout,
                               gps_assignment: List[Optional[int]],
                               data_assignment: List[Optional[int]],
+                              uids: Container[int],
                               ) -> Dict[int, List[Interval]]:
+        """Reverse transmit intervals of the subscribers in ``uids``."""
         intervals: Dict[int, List[Interval]] = {}
         for index, uid in enumerate(gps_assignment):
-            if uid is not None:
+            if uid in uids:
                 start = t0 + layout.gps_offsets[index]
                 intervals.setdefault(uid, []).append(
                     Interval(start, start + timing.GPS_SLOT_TIME))
         for index, uid in enumerate(data_assignment):
-            if uid is not None:
+            if uid in uids:
                 start = t0 + layout.data_offsets[index]
                 intervals.setdefault(uid, []).append(
                     Interval(start, start + timing.DATA_SLOT_TIME))
@@ -334,8 +343,9 @@ class BaseStation:
         if previous is None:
             return
         collided = used = idle = 0
+        results = previous.slot_results
         for slot_index in previous.contention_slots:
-            result = self._slot_results.get((previous.cycle, slot_index))
+            result = results[slot_index]
             if result is None or result.attempts == 0:
                 idle += 1
             elif result.collided:
@@ -356,12 +366,10 @@ class BaseStation:
         # so cycle c-2 is the most recent cycle with final outcomes.
         settled = self._records.get(self.cycle - 2)
         if settled is not None and self.stats.in_measurement(settled.start):
-            for slot_index, uid in enumerate(settled.data_assignment):
-                if uid is None:
-                    continue
-                result = self._slot_results.get(
-                    (settled.cycle, slot_index))
-                if result is not None and result.received:
+            for uid, result in zip(settled.data_assignment,
+                                   settled.slot_results):
+                if uid is not None and result is not None \
+                        and result.received:
                     self.stats.reverse_data_slots_used += 1
 
     # -- control fields -----------------------------------------------------------
@@ -370,13 +378,11 @@ class BaseStation:
         previous = self._records.get(record.cycle - 1)
         acks = [AckEntry.empty()] * timing.REVERSE_ACK_ENTRIES
         if previous is not None:
-            last = previous.last_data_slot
-            for slot_index in range(previous.layout.data_slots):
-                if which == 1 and slot_index == last:
-                    continue  # the last slot's outcome goes into CF2
-                result = self._slot_results.get(
-                    (previous.cycle, slot_index))
-                if result is not None and result.ack is not None:
+            # CF1 leaves the last slot out: its outcome goes into CF2.
+            skip = previous.last_data_slot if which == 1 else -1
+            for slot_index, result in enumerate(previous.slot_results):
+                if result is not None and result.ack is not None \
+                        and slot_index != skip:
                     acks[slot_index] = result.ack
         paging: List[Optional[int]] = []
         while self.paging_queue and len(paging) < timing.PAGING_ENTRIES:
@@ -424,7 +430,7 @@ class BaseStation:
             return
         reverse_tx = self._reverse_tx_intervals(
             record.start, record.layout, record.gps_assignment,
-            record.data_assignment)
+            record.data_assignment, (uid,))
         margin = timing.MS_TURNAROUND_TIME
         offsets = timing.FORWARD_SLOT_OFFSETS
         my_reverse = reverse_tx.get(uid, ())
@@ -452,8 +458,8 @@ class BaseStation:
         if uid is None:
             return
         when = record.start + timing.FORWARD_SLOT_OFFSETS[slot_index]
-        self.sim.call_at(when, lambda: self._transmit_forward(
-            record, slot_index, when))
+        self.sim.call_at(when, partial(self._transmit_forward, record,
+                                       slot_index, when))
 
     def _transmit_forward(self, record: CycleRecord, slot_index: int,
                           when: float) -> None:
@@ -494,10 +500,18 @@ class BaseStation:
                 if self.stats.in_measurement(start):
                     self.stats.gps_packets_delivered += 1
             return
-        key = (frame.cycle, frame.slot_index)
-        result = self._slot_results.get(key)
-        if result is None:
-            result = self._slot_results[key] = SlotResult()
+        record = self._records.get(frame.cycle)
+        results = record.slot_results if record is not None else ()
+        slot_index = frame.slot_index
+        if slot_index < len(results):
+            result = results[slot_index]
+            if result is None:
+                result = results[slot_index] = SlotResult()
+        else:
+            # Sent by a subscriber handed off between hearing its
+            # schedule and its slot: the cycle's record is gone, or its
+            # layout has no such slot.  No schedule reads this outcome.
+            result = SlotResult()
         result.attempts += 1
         if transmission.collided:
             result.collided = True
@@ -515,7 +529,7 @@ class BaseStation:
         elif frame.kind == KIND_RESERVATION:
             self._handle_reservation(frame, result, start)
         elif frame.kind == KIND_DATA:
-            self._handle_data(frame, result, start)
+            self._handle_data(frame, result, start, record)
 
     @staticmethod
     def _verify_wire_decode(frame: UplinkFrame, info: bytes) -> None:
@@ -582,7 +596,7 @@ class BaseStation:
             # silence is the signal that drives it back to registration.
             self.stats.unknown_uid_drops += 1
             return
-        self._touch(packet.uid)
+        self._last_heard[packet.uid] = self.cycle
         self.demands[packet.uid] = max(
             self.demands.get(packet.uid, 0), packet.requested)
         result.ack = AckEntry.data_ack(packet.uid)
@@ -593,17 +607,16 @@ class BaseStation:
                 self.stats.reservation_latency_cycles.push(latency)
 
     def _handle_data(self, frame: UplinkFrame, result: SlotResult,
-                     start: float) -> None:
+                     start: float, record: Optional[CycleRecord]) -> None:
         packet: DataPacket = frame.packet
         uid = packet.uid
         if self.registration.lookup_uid(uid) is None:
             self.stats.unknown_uid_drops += 1
             return
-        self._touch(uid)
+        self._last_heard[uid] = self.cycle
         self.demands[uid] = packet.piggyback
         result.ack = AckEntry.data_ack(uid)
         now = self.sim.now
-        record = self._records.get(frame.cycle)
         seen = self._recent_seqs.setdefault(uid, set())
         duplicate = packet.seq in seen
         seen.add(packet.seq)
@@ -642,8 +655,6 @@ class BaseStation:
     def _prune(self, before_cycle: int) -> None:
         for cycle in [c for c in self._records if c < before_cycle]:
             del self._records[cycle]
-        for key in [k for k in self._slot_results if k[0] < before_cycle]:
-            del self._slot_results[key]
 
     # -- introspection (tests / experiments) -------------------------------------
 

@@ -61,15 +61,21 @@ class AckEntry:
 
     @staticmethod
     def empty() -> "AckEntry":
-        return AckEntry()
+        return _DATA_ACKS[UNASSIGNED]
 
     @staticmethod
     def data_ack(uid: int) -> "AckEntry":
-        return AckEntry(ein=EIN_EMPTY, uid=uid)
+        return _DATA_ACKS[uid]
 
     @staticmethod
     def registration_reply(ein: int, uid: int) -> "AckEntry":
         return AckEntry(ein=ein, uid=uid)
+
+
+#: The 64 EIN-less entries, by 6-bit user ID (63, the sentinel, is the
+#: empty entry).  Entries are immutable, so every ACK shares these.
+_DATA_ACKS: Tuple[AckEntry, ...] = tuple(
+    AckEntry(ein=EIN_EMPTY, uid=uid) for uid in range(UNASSIGNED + 1))
 
 
 def _pad(entries: List[Optional[int]], size: int) -> List[int]:

@@ -14,6 +14,7 @@ assigned GPS slot each cycle.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator, Optional
 
 from repro.core.fields import ControlFields
@@ -112,8 +113,8 @@ class GpsSubscriber(SubscriberBase):
         start = cf.cycle_start + layout.gps_offsets[slot_index]
         self.radio.claim(TX, start, start + GPS_ON_AIR,
                          f"gps@{slot_index}")
-        self.sim.call_at(start, lambda: self._transmit_report(
-            cf.cycle, slot_index, start))
+        self.sim.call_at(start, partial(self._transmit_report, cf.cycle,
+                                        slot_index, start))
 
     def _on_activated(self, cf: ControlFields) -> None:
         # Discard reports that aged out while we were registering: the

@@ -157,7 +157,8 @@ class ForwardScheduler:
         reverse_tx:
             uid -> this cycle's scheduled reverse transmit intervals
             (absolute times); forward receptions must keep a 20 ms margin
-            from every one of them (constraints (i)--(iii)).
+            from every one of them (constraints (i)--(iii)).  Only the
+            uids in ``demands`` are read.
         cf2_listener:
             The subscriber that listens to the second control-field set
             this cycle (it may not receive forward slot 0).

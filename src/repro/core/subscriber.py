@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from functools import partial
 from typing import Deque, Dict, Optional, Set, Tuple
 
 from repro.core.config import CellConfig
@@ -145,30 +146,30 @@ class SubscriberBase:
         if not self.alive or self.sim.now < self.entry_time:
             return
         frame: DownlinkFrame = transmission.payload
+        info = transmission.decoded_info if ok else None
         if frame.kind in ("cf1", "cf2"):
             cf = frame.packet
-            if ok and transmission.decoded_info is not None:
+            if info is not None:
                 # Full fidelity: operate on the control fields as decoded
                 # from the received RS codewords, not the logical object.
-                cf = ControlFields.decode(transmission.decoded_info)
+                cf = ControlFields.decode(info)
                 cf.cycle_start = frame.packet.cycle_start
+            # One set per cycle is ours (Section 3.4, Problem 2): CF2 in
+            # the cycle we transmit through CF1, CF1 otherwise.
+            if (self._cf2_cycle == cf.cycle) != (cf.which == 2):
+                return
             self._on_cf(cf, ok)
         elif frame.kind == "data":
-            if ok and transmission.decoded_info is not None:
-                decoded = DataPacket.decode(transmission.decoded_info)
+            if info is not None:
+                decoded = DataPacket.decode(info)
                 if (decoded.uid, decoded.seq) \
                         != (frame.packet.uid, frame.packet.seq):
                     raise AssertionError("downlink wire decode mismatch")
             self._on_forward_data(frame, ok)
 
     def _on_cf(self, cf: ControlFields, ok: bool) -> None:
+        """Our own control-field set: listen to it, then act on it."""
         which = cf.which
-        listen_second = (self._cf2_cycle == cf.cycle)
-        if listen_second:
-            if which == 1:
-                return  # physically transmitting while CF1 is on the air
-        elif which == 2:
-            return  # not our control-field set
         t0 = cf.cycle_start
         if which == 1:
             self.radio.claim(RX, t0 + timing.CF1_OFFSET,
@@ -718,8 +719,8 @@ class DataSubscriber(SubscriberBase):
         start = cf.cycle_start + layout.data_offsets[slot_index]
         self.radio.claim(TX, start, start + DATA_ON_AIR,
                          f"data@{slot_index}")
-        self.sim.call_at(start, lambda: self._transmit_data(
-            cf.cycle, slot_index, start, contention=False))
+        self.sim.call_at(start, partial(self._transmit_data, cf.cycle,
+                                        slot_index, start, False))
 
     def _transmit_data(self, cycle: int, slot_index: int, start: float,
                        contention: bool,
@@ -784,9 +785,9 @@ class DataSubscriber(SubscriberBase):
         if use_data:
             self.radio.claim(TX, start, start + DATA_ON_AIR,
                              f"data-contention@{slot_index}")
-            self.sim.call_at(start, lambda: self._transmit_data(
-                cf.cycle, slot_index, start, contention=True,
-                pending=pending))
+            self.sim.call_at(start, partial(self._transmit_data, cf.cycle,
+                                            slot_index, start, True,
+                                            pending))
         else:
             requested = min(len(self.queue), 63)
             packet = ReservationPacket(uid=self.uid, requested=requested)

@@ -28,12 +28,16 @@ class SummaryStats:
 
     def push(self, value: float) -> None:
         value = float(value)
-        self.count += 1
+        count = self.count = self.count + 1
         delta = value - self._mean
-        self._mean += delta / self.count
+        self._mean += delta / count
         self._m2 += delta * (value - self._mean)
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if count == 1:
+            self.min = self.max = value
+        elif value < self.min:
+            self.min = value
+        elif value > self.max:
+            self.max = value
 
     @property
     def mean(self) -> float:

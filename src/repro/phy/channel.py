@@ -23,6 +23,7 @@ Two fidelity levels share these semantics:
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.phy.errors import ErrorModel, OutageModel, PerfectChannelModel
@@ -96,10 +97,9 @@ class Link:
         self.full_fidelity = full_fidelity
         self.codewords_sent = 0
         self.codewords_lost = 0
-        # The all-zero information word's codeword, used by survives():
-        # encode() makes no RNG draws, so encoding once here instead of
-        # per call is draw-for-draw identical.
-        self._clean_codeword = codec.encode(bytes(codec.k))
+        # The all-zero information word's codeword, used by survives().
+        # Reed-Solomon codes are linear, so it is the all-zero word.
+        self._clean_codeword = bytes(codec.n)
 
     def survives(self, num_codewords: int = 1) -> bool:
         """Decide whether a transmission of ``num_codewords`` survives.
@@ -200,7 +200,7 @@ class ReverseChannel:
                     self.total_collisions += 1
         self._active.append(transmission)
         self.sim.call_at(transmission.end,
-                         lambda: self._complete(transmission, link))
+                         partial(self._complete, transmission, link))
         return transmission
 
     def _complete(self, transmission: Transmission, link: Link) -> None:
@@ -254,7 +254,7 @@ class ForwardChannel:
         self.total_broadcasts += 1
         receivers = list(self.receivers.items())
         self.sim.call_at(transmission.end,
-                         lambda: self._complete(transmission, receivers))
+                         partial(self._complete, transmission, receivers))
         return transmission
 
     def _complete(self, transmission: Transmission, receivers) -> None:

@@ -103,10 +103,6 @@ class GF256:
     # [a, b, c] represents a*x^2 + b*x + c.
 
     @staticmethod
-    def poly_scale(poly: Sequence[int], factor: int) -> List[int]:
-        return [GF256.mul(coeff, factor) for coeff in poly]
-
-    @staticmethod
     def poly_add(p: Sequence[int], q: Sequence[int]) -> List[int]:
         result = [0] * max(len(p), len(q))
         result[len(result) - len(p):] = list(p)

@@ -1,7 +1,10 @@
 """The simulator event loop and generator-based processes.
 
 The event loop is a *slot-indexed calendar queue* rather than a single
-binary heap.  The MAC protocol's load is dominated by two patterns:
+binary heap, and what it queues are plain callables: a
+:meth:`Simulator.call_at` callback as given, and the bound ``_process``
+method of every triggered event.  The MAC protocol's load is dominated
+by two patterns:
 
 * **zero-delay triggers** -- ``succeed()``/``fail()`` calls and process
   resumptions that fire at the current instant, and
@@ -11,13 +14,14 @@ binary heap.  The MAC protocol's load is dominated by two patterns:
 
 The kernel therefore keeps three structures:
 
-* ``_now_queue`` -- a FIFO of events due exactly at ``now``; appending is
-  the no-allocation fast path for the dominant zero-delay case,
+* ``_now_queue`` -- a FIFO of callables due exactly at ``now``;
+  appending is the no-allocation fast path for the dominant zero-delay
+  case,
 * ``_calendar`` -- a dict mapping each distinct future timestamp to the
-  events due then.  Most buckets hold exactly one event (slot boundaries
-  are distinct floats), so a singleton is stored as the bare event and
-  only promoted to a list when a second event lands on the same
-  timestamp -- no per-event list allocation,
+  callables due then.  Most buckets hold exactly one (slot boundaries
+  are distinct floats), so a singleton is stored bare and only promoted
+  to a list when a second one lands on the same timestamp -- no
+  per-entry list allocation,
 * ``_times`` -- a min-heap over the *distinct* timestamps only, pushed
   once per bucket creation.
 
@@ -37,7 +41,7 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional
 
-from repro.sim.events import CallbackEvent, Event, Timeout
+from repro.sim.events import Event, Timeout
 
 _INF = float("inf")
 
@@ -175,8 +179,8 @@ class Simulator:
     def __init__(self, strict: bool = True):
         self.now: float = 0.0
         self.strict = strict
-        self._now_queue: Deque[Event] = deque()
-        #: timestamp -> Event (singleton bucket) or List[Event].
+        self._now_queue: Deque[Callable[[], None]] = deque()
+        #: timestamp -> callable (singleton bucket) or list of callables.
         self._calendar: Dict[float, Any] = {}
         self._times: List[float] = []
         self._active_process: Optional[Process] = None
@@ -196,49 +200,52 @@ class Simulator:
         """Spawn a generator as a process; returns the process event."""
         return Process(self, generator, name=name)
 
-    def call_at(self, when: float, callback: Callable[[], None]) -> Event:
-        """Run a plain callback at absolute time ``when``."""
+    def call_at(self, when: float, callback: Callable[[], None]) -> None:
+        """Run a plain callback at absolute time ``when``.
+
+        The callback itself is queued: no event wraps it, so nothing can
+        wait on it.
+        """
         if when < self.now:
             raise SimulationError(
                 f"call_at({when}) is in the past (now={self.now})")
-        event = CallbackEvent(self, callback)
         # _enqueue inlined: call_at is the kernel's hottest entry point.
         if when == self.now:
-            self._now_queue.append(event)
-            return event
+            self._now_queue.append(callback)
+            return
         calendar = self._calendar
         bucket = calendar.get(when)
         if bucket is None:
-            calendar[when] = event
+            calendar[when] = callback
             heapq.heappush(self._times, when)
         elif type(bucket) is list:
-            bucket.append(event)
+            bucket.append(callback)
         else:
-            calendar[when] = [bucket, event]
-        return event
+            calendar[when] = [bucket, callback]
 
     # -- scheduling internals ------------------------------------------------
 
     def _enqueue(self, event: Event, delay: float) -> None:
+        process = event._process
         if delay == 0.0:
-            self._now_queue.append(event)
+            self._now_queue.append(process)
             return
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         when = self.now + delay
         if when == self.now:
             # A positive delay too small to move the float clock: due now.
-            self._now_queue.append(event)
+            self._now_queue.append(process)
             return
         calendar = self._calendar
         bucket = calendar.get(when)
         if bucket is None:
-            calendar[when] = event
+            calendar[when] = process
             heapq.heappush(self._times, when)
         elif type(bucket) is list:
-            bucket.append(event)
+            bucket.append(process)
         else:
-            calendar[when] = [bucket, event]
+            calendar[when] = [bucket, process]
 
     # -- execution -----------------------------------------------------------
 
@@ -249,7 +256,7 @@ class Simulator:
         return self._times[0] if self._times else _INF
 
     def step(self) -> None:
-        """Process exactly one event."""
+        """Run exactly one queued callable."""
         queue = self._now_queue
         if not queue:
             when = heapq.heappop(self._times)
@@ -258,9 +265,9 @@ class Simulator:
             if type(bucket) is list:
                 queue.extend(bucket)
             else:
-                bucket._process()
+                bucket()
                 return
-        queue.popleft()._process()
+        queue.popleft()()
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.
@@ -277,7 +284,7 @@ class Simulator:
         heappop = heapq.heappop
         while True:
             while queue:
-                queue.popleft()._process()
+                queue.popleft()()
             if not times:
                 break
             when = times[0]
@@ -289,7 +296,7 @@ class Simulator:
             if type(bucket) is list:
                 queue.extend(bucket)
             else:
-                bucket._process()
+                bucket()
         if until is not None and until > self.now:
             self.now = until
 

@@ -135,40 +135,6 @@ class Timeout(Event):
         raise RuntimeError("Timeout events trigger themselves")
 
 
-class CallbackEvent(Event):
-    """A pre-triggered event that invokes one plain callable when it fires.
-
-    This is the allocation-light backing of
-    :meth:`~repro.sim.core.Simulator.call_at`: instead of a Timeout plus a
-    closure appended to its callback list, the callable is stored directly
-    on the event and invoked from :meth:`_process`.  Callbacks added via
-    :meth:`add_callback` still run, after the stored callable -- the same
-    order the old Timeout-plus-lambda arrangement produced.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, sim: "Simulator", fn: Callable[[], None]):
-        self.sim = sim
-        self.callbacks = []
-        self._ok = True
-        self._value = None
-        self.fn = fn
-
-    def succeed(self, value: Any = None) -> "Event":  # pragma: no cover
-        raise RuntimeError("CallbackEvent events trigger themselves")
-
-    def fail(self, exception: BaseException) -> "Event":  # pragma: no cover
-        raise RuntimeError("CallbackEvent events trigger themselves")
-
-    def _process(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self.fn()
-        if callbacks:
-            for callback in callbacks:
-                callback(self)
-
-
 class _Condition(Event):
     """Base for composite events (:class:`AnyOf` / :class:`AllOf`)."""
 

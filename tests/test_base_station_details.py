@@ -2,7 +2,15 @@
 
 from repro.core.cell import build_cell, run_cell_detailed
 from repro.core.config import CellConfig
-from repro.core.packets import ForwardPacket, SERVICE_GPS
+from repro.core.frames import KIND_RESERVATION, SLOT_DATA, UplinkFrame
+from repro.core.packets import (
+    ForwardPacket,
+    ReservationPacket,
+    SERVICE_GPS,
+)
+from repro.core.subscriber import DATA_ON_AIR
+from repro.phy import timing
+from repro.phy.channel import Transmission
 
 
 def build(**overrides):
@@ -112,11 +120,48 @@ class TestHousekeeping:
     def test_records_pruned(self):
         run = run_cell_detailed(build(cycles=80).config)
         bs = run.base_station
-        # Only a handful of recent cycles are retained.
+        # Only a handful of recent cycles are retained, slot outcomes
+        # with them (they live on each cycle's record).
         assert len(bs._records) <= 5
         assert all(cycle >= bs.cycle - 4 for cycle in bs._records)
-        assert all(key[0] >= bs.cycle - 4
-                   for key in bs._slot_results)
+
+    def test_stray_uplinks_leave_acks_alone(self):
+        """A subscriber handed off between hearing its schedule and its
+        slot sends a frame for a cycle this station may have pruned, or
+        for a slot its layout lacks; neither may reach the ACKs of the
+        next cycle's two sets."""
+        def next_acks(stray):
+            run = build()
+            bs = run.base_station
+            sent = []
+            make_cf = bs._make_cf
+
+            def capture(record, which):
+                cf = make_cf(record, which)
+                sent.append(cf.reverse_acks)
+                return cf
+
+            bs._make_cf = capture
+            now = 20 * timing.CYCLE_LENGTH + 2.0
+            run.sim.run(until=now)
+            if stray:
+                uid = run.data_users[0].uid
+                record = bs.record_for(bs.cycle)
+                for cycle, slot in ((bs.cycle - 10, 0),
+                                    (bs.cycle, record.layout.data_slots)):
+                    frame = UplinkFrame(
+                        kind=KIND_RESERVATION, cycle=cycle,
+                        slot_kind=SLOT_DATA, slot_index=slot,
+                        packet=ReservationPacket(uid=uid, requested=1),
+                        uid=uid)
+                    bs._on_reverse_delivery(Transmission(
+                        sender="stray", payload=frame, start=now,
+                        duration=DATA_ON_AIR, kind=KIND_RESERVATION), True)
+            heard = len(sent)
+            run.sim.run(until=now + timing.CYCLE_LENGTH)
+            return sent[heard:heard + 2]
+
+        assert next_acks(stray=True) == next_acks(stray=False)
 
     def test_seq_dedup_window_bounded(self):
         run = run_cell_detailed(build(load_index=1.1, cycles=120).config)

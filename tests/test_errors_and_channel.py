@@ -16,7 +16,7 @@ from repro.phy.errors import (
     OutageModel,
     PerfectChannelModel,
 )
-from repro.phy.rs import RS_64_48
+from repro.phy.rs import RS_64_48, ReedSolomon
 from repro.sim import Simulator
 
 
@@ -136,6 +136,16 @@ class TestLink:
         link = Link(IndependentSymbolErrors(0.5), random.Random(11))
         survived = sum(link.survives(1) for _ in range(50))
         assert survived < 5  # half the symbols corrupted: hopeless
+
+    @pytest.mark.parametrize("n,k", [(64, 48), (32, 24), (255, 223)])
+    def test_clean_codeword_needs_no_encode(self, n, k):
+        """RS codes are linear: the zero message encodes to the zero
+        word, which ``survives`` corrupts as its clean codeword."""
+        codec = ReedSolomon(n, k)
+        assert codec.encode(bytes(codec.k)) == bytes(codec.n)
+        link = Link(IndependentSymbolErrors(0.01), random.Random(12),
+                    codec=codec)
+        assert link._clean_codeword == bytes(codec.n)
 
 
 class TestReverseChannel:

@@ -43,6 +43,11 @@ class TestAckEntry:
         assert entry.uid == 17
         assert not entry.is_empty
 
+    def test_shared_entries_equal_fresh_ones(self):
+        assert AckEntry.empty() == AckEntry()
+        for uid in range(63):
+            assert AckEntry.data_ack(uid) == AckEntry(uid=uid)
+
     def test_registration_reply(self):
         entry = AckEntry.registration_reply(0xBEEF, 9)
         assert entry.is_registration_reply

@@ -219,6 +219,38 @@ class TestReachability:
         assert rules_of(report) == ["HOT001"]
         assert report.findings[0].path == collector[0]
 
+    def test_hot_via_partial_callback(self):
+        # The kernel queues callbacks as functools.partial objects; the
+        # partial's function reference keeps the callback on the
+        # event-loop path, so its print and per-loop open are flagged.
+        def beacon(arm):
+            return (
+                "src/repro/obs/beacon.py",
+                "import functools\n"
+                "\n"
+                "\n"
+                "class Beacon:\n"
+                "    def __init__(self, sim, channel):\n"
+                "        self.sim = sim\n"
+                "        channel.add_listener(self._on_delivery)\n"
+                "\n"
+                "    def _on_delivery(self, transmission, ok):\n"
+                f"        {arm}\n"
+                "\n"
+                "    def _fire(self, paths):\n"
+                "        print(paths)\n"
+                "        for path in paths:\n"
+                "            open(path)\n",
+            )
+
+        armed = beacon("self.sim.call_at(transmission.end, "
+                       "functools.partial(self._fire, transmission.paths))")
+        assert rules_of(check_source(*reversed(armed))) == []
+        report = check_project([armed])
+        assert rules_of(report) == ["HOT001", "HOT002"]
+        assert [finding.line for finding in report.findings] == [13, 15]
+        assert rules_of(check_project([beacon("pass")])) == []
+
     def test_unreachable_print_is_clean(self):
         collector = (
             "src/repro/obs/collector.py",
