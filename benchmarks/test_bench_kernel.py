@@ -17,11 +17,11 @@ def test_event_loop_throughput(benchmark):
     def spin():
         sim = Simulator()
 
-        def ticker():
-            for _ in range(2000):
-                yield sim.timeout(1.0)
+        def tick():
+            if sim.now < 2000.0:
+                sim.call_at(sim.now + 1.0, tick)
 
-        sim.process(ticker())
+        tick()
         sim.run()
         return sim.now
 

@@ -175,7 +175,7 @@ class BaseStation:
         self.on_registration: Optional[Callable] = None
 
         reverse.add_listener(self._on_reverse_delivery)
-        self.process = sim.process(self._run(), name="base-station")
+        sim.call_at(sim.now, self._start_cycle)
 
     # -- public control-plane helpers (simulation shortcuts) ----------------
 
@@ -226,28 +226,38 @@ class BaseStation:
 
     # -- main cycle loop -------------------------------------------------------
 
-    def _run(self):
-        while True:
-            t0 = self.sim.now
-            record = self._build_cycle(t0)
-            self._records[self.cycle] = record
-            cf1 = self._make_cf(record, which=1)
-            self._broadcast_cf(cf1, start=t0,
-                               duration=timing.CF1_END)
-            self._schedule_forward_slot(record, 0)
-            yield self.sim.timeout(timing.CF2_OFFSET)
-            if self.config.use_second_cf:
-                self._upgrade_forward_slots(record)
-                cf2 = self._make_cf(record, which=2)
-                self._broadcast_cf(cf2, start=self.sim.now,
-                                   duration=timing.CONTROL_FIELD_TIME)
-            assignment = record.forward_assignment
-            for slot_index in range(1, timing.NUM_FORWARD_DATA_SLOTS):
-                if assignment[slot_index] is not None:
-                    self._schedule_forward_slot(record, slot_index)
-            yield self.sim.timeout(timing.CYCLE_LENGTH - timing.CF2_OFFSET)
-            self.cycle += 1
-            self._prune(self.cycle - 4)
+    def _start_cycle(self) -> None:
+        """Steps 1-2: build the cycle, send CF1 and forward slot 0."""
+        t0 = self.sim.now
+        record = self._build_cycle(t0)
+        self._records[self.cycle] = record
+        cf1 = self._make_cf(record, which=1)
+        self._broadcast_cf(cf1, start=t0,
+                           duration=timing.CF1_END)
+        self._schedule_forward_slot(record, 0)
+        self.sim.call_at(t0 + timing.CF2_OFFSET,
+                         partial(self._send_cf2, record))
+
+    def _send_cf2(self, record: CycleRecord) -> None:
+        """Steps 3-4: send CF2 and the remaining forward slots."""
+        now = self.sim.now
+        if self.config.use_second_cf:
+            self._upgrade_forward_slots(record)
+            cf2 = self._make_cf(record, which=2)
+            self._broadcast_cf(cf2, start=now,
+                               duration=timing.CONTROL_FIELD_TIME)
+        assignment = record.forward_assignment
+        for slot_index in range(1, timing.NUM_FORWARD_DATA_SLOTS):
+            if assignment[slot_index] is not None:
+                self._schedule_forward_slot(record, slot_index)
+        self.sim.call_at(now + (timing.CYCLE_LENGTH - timing.CF2_OFFSET),
+                         self._end_cycle)
+
+    def _end_cycle(self) -> None:
+        """Close the cycle and start the next one."""
+        self.cycle += 1
+        self._prune(self.cycle - 4)
+        self._start_cycle()
 
     # -- schedule construction -------------------------------------------------
 

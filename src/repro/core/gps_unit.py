@@ -15,7 +15,7 @@ assigned GPS slot each cycle.
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.core.fields import ControlFields
 from repro.core.frames import KIND_GPS, SLOT_GPS, UplinkFrame
@@ -53,19 +53,29 @@ class GpsSubscriber(SubscriberBase):
         self._missing_cycles = 0
         self.reports_generated = 0
         self.reports_superseded = 0
-        self.sim.process(self._report_process(), name=f"{self.name}-gps")
+        self.sim.call_at(self.sim.now, self._start_reports)
 
     # -- report generation ----------------------------------------------------------
 
-    def _report_process(self) -> Iterator:
-        if self.entry_time > self.sim.now:
-            yield self.sim.timeout(self.entry_time - self.sim.now)
+    def _start_reports(self) -> None:
+        now = self.sim.now
+        if self.entry_time > now:
+            self.sim.call_at(now + (self.entry_time - now),
+                             self._draw_report_phase)
+        else:
+            self._draw_report_phase()
+
+    def _draw_report_phase(self) -> None:
         # Random phase so report arrivals are uncorrelated with slots.
-        yield self.sim.timeout(self.rng.uniform(0, self.report_period))
-        while True:
-            if self.alive:
-                self._generate_report()
-            yield self.sim.timeout(self.report_period)
+        self.sim.call_at(
+            self.sim.now + self.rng.uniform(0, self.report_period),
+            self._report_tick)
+
+    def _report_tick(self) -> None:
+        if self.alive:
+            self._generate_report()
+        self.sim.call_at(self.sim.now + self.report_period,
+                         self._report_tick)
 
     def _generate_report(self) -> None:
         report = GPSPacket(

@@ -26,9 +26,6 @@ makes that structure explicit and shared:
   fingerprint of the package source, so repeated invocations skip
   simulations that already ran; corrupt entries are quarantined and
   orphaned temp files scavenged.
-* :mod:`~repro.engine.faultsim` -- a deterministic executor-level
-  fault injector (seed-stable worker crash/hang/error schedules) that
-  makes all of the above testable in CI.
 * :mod:`~repro.engine.telemetry` -- per-execution instrumentation
   (points executed, cache hits, retries, timeouts, worker respawns,
   journal resumes, failures, per-point wall-clock) surfaced by
@@ -45,7 +42,6 @@ from repro.engine.executors import (
     get_executor,
     resolve_jobs,
 )
-from repro.engine.faultsim import ExecFaultPlan, FaultyTask, InjectedFault
 from repro.engine.hashing import canonical, code_fingerprint, point_key
 from repro.engine.policy import (
     PointFailure,
@@ -68,9 +64,6 @@ from repro.engine.telemetry import EngineStats, telemetry
 
 __all__ = [
     "EngineStats",
-    "ExecFaultPlan",
-    "FaultyTask",
-    "InjectedFault",
     "MapReport",
     "ParallelExecutor",
     "Point",

@@ -64,8 +64,8 @@ def invoke(fn: Callable[[Any], Any], config: Any,
     """Run one task, timing it in the process that executes it.
 
     Tasks that declare ``wants_attempt = True`` (e.g. the executor
-    fault injector, :mod:`repro.engine.faultsim`) also receive the
-    1-based attempt number.
+    fault injector of the resilience tests) also receive the 1-based
+    attempt number.
     """
     started = time.perf_counter()
     if getattr(fn, "wants_attempt", False):

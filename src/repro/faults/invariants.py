@@ -68,13 +68,15 @@ class InvariantMonitor:
         self.violations: List[Tuple[float, str]] = []
         self.checks_run = 0
         self._radio_seen = 0
-        sim.process(self._run(), name="invariant-monitor")
+        sim.call_at(sim.now, self._start)
 
-    def _run(self):
-        yield self.sim.timeout(CHECK_OFFSET)
-        while True:
-            self.check_now()
-            yield self.sim.timeout(timing.CYCLE_LENGTH)
+    def _start(self) -> None:
+        self.sim.call_at(self.sim.now + CHECK_OFFSET, self._check_tick)
+
+    def _check_tick(self) -> None:
+        self.check_now()
+        self.sim.call_at(self.sim.now + timing.CYCLE_LENGTH,
+                         self._check_tick)
 
     # -- the actual checks -------------------------------------------------
 

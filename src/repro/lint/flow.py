@@ -39,7 +39,7 @@ cross-function chain); the message names the origin.
 The same project index also replaces v1's curated scoping lists:
 
 * HOT001/HOT002 run over functions *reachable from the event loop*
-  (``Simulator.step``/``run``, channel completion, and every callback
+  (``Simulator.run``, channel completion, and every callback
   reference handed to a registrar), instead of a hand-maintained
   module list.
 * PAR004 flags mutation of module-level state inside functions
@@ -207,13 +207,11 @@ _ENVELOPE_SINK_FUNCS = {
     "repro.shard.envelopes.handoff_envelope",
 }
 _SIM_CLASSES = {"Simulator"}
-_EVENT_TIME_METHODS = {"call_at", "timeout"}
+_EVENT_TIME_METHODS = {"call_at"}
 
 #: HOT reachability roots: the event loop and channel completion.
 HOT_ROOT_PATTERNS: Tuple[str, ...] = (
-    "repro.sim.core.Simulator.step",
     "repro.sim.core.Simulator.run",
-    "repro.sim.core.Simulator.process",
     "repro.phy.channel.Link.deliver_codewords",
     "repro.phy.channel.ReverseChannel._complete",
     "repro.phy.channel.ForwardChannel._complete",

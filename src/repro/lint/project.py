@@ -8,7 +8,7 @@ the v2 flow pass (:mod:`repro.lint.flow`) runs over:
 
 * a **symbol table** -- every module, top-level function, class,
   method, and module-level binding under the analysis universe, keyed
-  by dotted qualified name (``repro.sim.core.Simulator.step``);
+  by dotted qualified name (``repro.sim.core.Simulator.run``);
 * per-module **import maps** so a bare name or an ``alias.attr``
   expression resolves to the dotted thing it denotes (project function,
   external module function like ``random.random``, or class);
@@ -63,9 +63,7 @@ _HASHLIB_CTORS = {
 #: loop (or a channel).  Function references passed to these run *from
 #: inside* the event loop, so they seed HOT reachability even though no
 #: syntactic call edge exists.
-SIM_REGISTRAR_METHODS = {
-    "call_at", "add_callback", "add_listener", "attach",
-}
+SIM_REGISTRAR_METHODS = {"call_at", "add_listener", "attach"}
 
 #: Dotted names whose call sites mark their ``fn`` argument (first
 #: positional or ``fn=`` keyword) as a process-pool entry point.
@@ -595,8 +593,7 @@ class Project:
                 edges.update(targets)
                 edges.update(refs)
                 project._note_entry_points(
-                    module, func, node, targets, external, refs,
-                    local_classes)
+                    module, node, targets, external, refs)
                 self.generic_visit(node)
 
         _Walk().visit(func.node)
@@ -624,26 +621,16 @@ class Project:
                                                     value.attr))
         return refs
 
-    def _note_entry_points(self, module: ModuleInfo,
-                           func: FunctionInfo, call: ast.Call,
+    def _note_entry_points(self, module: ModuleInfo, call: ast.Call,
                            targets: Tuple[str, ...],
                            external: Optional[str],
-                           refs: List[str],
-                           local_classes: Dict[str, str]) -> None:
+                           refs: List[str]) -> None:
         """Record sim-callback and pool-task roots at this call."""
         node = call.func
         method = node.attr if isinstance(node, ast.Attribute) \
             else node.id if isinstance(node, ast.Name) else None
         if method in SIM_REGISTRAR_METHODS:
             self.sim_callback_roots.update(refs)
-            # sim.process(self.worker()) registers the *call result*:
-            # the generator function runs from inside the event loop.
-            for value in list(call.args) \
-                    + [kw.value for kw in call.keywords]:
-                if isinstance(value, ast.Call):
-                    inner, _ = self.resolve_call(func, value,
-                                                 local_classes)
-                    self.sim_callback_roots.update(inner)
         is_point = external in POOL_TASK_WRAPPERS \
             or (isinstance(node, ast.Name) and node.id == "Point") \
             or any(t.endswith(".Point.__init__") for t in targets)

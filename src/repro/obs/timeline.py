@@ -3,7 +3,7 @@
 :class:`TimelineRecorder` instruments a *built* (not yet run)
 :class:`~repro.core.cell.CellRun` through public hooks only -- a
 delivery listener on the reverse channel, the base station's
-registration hook, and a sampling process on the simulator -- exactly
+registration hook, and a sampling callback on the simulator -- exactly
 the contract :class:`~repro.trace.CellTracer` follows, so the protocol
 code runs unmodified and results are bit-identical with and without the
 recorder.
@@ -130,8 +130,7 @@ class TimelineRecorder:
 
         run.base_station.reverse.add_listener(self._on_reverse)
         self._chain_registration_hook(run)
-        run.sim.process(self._sample_loop(),
-                        name="timeline-recorder")
+        run.sim.call_at(run.sim.now, self._start_sampling)
 
     # -- hooks ------------------------------------------------------------
 
@@ -167,11 +166,14 @@ class TimelineRecorder:
 
     # -- sampling ---------------------------------------------------------
 
-    def _sample_loop(self):
-        yield self.run.sim.timeout(SAMPLE_OFFSET)
-        while True:
-            self._sample()
-            yield self.run.sim.timeout(timing.CYCLE_LENGTH)
+    def _start_sampling(self) -> None:
+        sim = self.run.sim
+        sim.call_at(sim.now + SAMPLE_OFFSET, self._sample_tick)
+
+    def _sample_tick(self) -> None:
+        self._sample()
+        sim = self.run.sim
+        sim.call_at(sim.now + timing.CYCLE_LENGTH, self._sample_tick)
 
     def _sample(self) -> None:
         run = self.run

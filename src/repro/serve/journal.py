@@ -1,11 +1,9 @@
 """Cycle-granular service journals: crash-safe state for ``repro serve``.
 
 A live cell's state is a pure function of its :class:`CellConfig`, its
-seed, and the ordered control operations applied at cycle boundaries
-(generator-based simulator processes cannot be pickled, so there is no
-such thing as a byte-level snapshot).  The service journal therefore
-records exactly that function's inputs, append-only, one JSON line per
-record:
+seed, and the ordered control operations applied at cycle boundaries.
+The service journal therefore records exactly that function's inputs,
+append-only, one JSON line per record:
 
 ``header``
     Written once at creation: schema tag, the cell config (canonical

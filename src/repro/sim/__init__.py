@@ -1,41 +1,23 @@
 """Discrete-event simulation kernel.
 
-This package is a self-contained, generator-based discrete-event simulation
-(DES) engine in the style of SimPy, built from scratch because the
-reproduction environment has no SimPy available.  It provides:
+This package is a self-contained discrete-event simulation (DES)
+engine.  It provides:
 
-* :class:`~repro.sim.core.Simulator` -- the event loop, clock, and process
-  spawner.
-* :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
-  :class:`~repro.sim.events.AnyOf`, :class:`~repro.sim.events.AllOf` --
-  waitable events.
-* :class:`~repro.sim.core.Process` -- a generator coroutine driven by the
-  simulator; itself an event that fires when the generator finishes.
-* :class:`~repro.sim.resources.Store`,
-  :class:`~repro.sim.resources.Resource` -- queueing primitives.
+* :class:`~repro.sim.core.Simulator` -- the clock and one calendar of
+  plain callbacks, scheduled with ``call_at`` and driven by ``run``.
 * :class:`~repro.sim.rng.RandomStreams` -- named, independently seeded
   random-number streams for reproducible experiments.
 
-Determinism: events scheduled for the same simulation time fire in FIFO
-order of scheduling (a monotonically increasing sequence number breaks
-ties), so a fixed seed yields a bit-identical trajectory.
+Determinism: callbacks scheduled for the same simulation time fire in
+FIFO order of scheduling, so a fixed seed yields a bit-identical
+trajectory.
 """
 
-from repro.sim.core import Interrupt, Process, Simulator, SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.resources import Resource, Store
+from repro.sim.core import Simulator, SimulationError
 from repro.sim.rng import RandomStreams
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Event",
-    "Interrupt",
-    "Process",
     "RandomStreams",
-    "Resource",
     "Simulator",
     "SimulationError",
-    "Store",
-    "Timeout",
 ]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.sim.core import Simulator
 
@@ -140,7 +140,7 @@ def interarrival_for_load(load_index: float,
 
 
 class PoissonMessageSource:
-    """Generates messages for one subscriber as a simulator process."""
+    """Generates messages for one subscriber on the simulator clock."""
 
     _ids = itertools.count()
 
@@ -160,18 +160,27 @@ class PoissonMessageSource:
         self.start_at = start_at
         self.stop_at = stop_at
         self.generated = 0
-        self.process = sim.process(self._run(), name="message-source")
+        sim.call_at(sim.now, self._start)
 
-    def _run(self) -> Iterator:
-        if self.start_at > self.sim.now:
-            yield self.sim.timeout(self.start_at - self.sim.now)
-        while self.stop_at is None or self.sim.now < self.stop_at:
-            gap = self.rng.expovariate(1.0 / self.mean_interarrival)
-            yield self.sim.timeout(gap)
-            if self.stop_at is not None and self.sim.now >= self.stop_at:
-                break
-            message = Message(message_id=next(self._ids),
-                              size_bytes=self.sizes.sample(self.rng),
-                              created_at=self.sim.now)
-            self.generated += 1
-            self.deliver(message)
+    def _start(self) -> None:
+        now = self.sim.now
+        if self.start_at > now:
+            self.sim.call_at(now + (self.start_at - now), self._next_gap)
+        else:
+            self._next_gap()
+
+    def _next_gap(self) -> None:
+        if self.stop_at is not None and self.sim.now >= self.stop_at:
+            return
+        gap = self.rng.expovariate(1.0 / self.mean_interarrival)
+        self.sim.call_at(self.sim.now + gap, self._arrive)
+
+    def _arrive(self) -> None:
+        if self.stop_at is not None and self.sim.now >= self.stop_at:
+            return
+        message = Message(message_id=next(self._ids),
+                          size_bytes=self.sizes.sample(self.rng),
+                          created_at=self.sim.now)
+        self.generated += 1
+        self.deliver(message)
+        self._next_gap()

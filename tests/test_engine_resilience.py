@@ -1,7 +1,7 @@
 """Fault tolerance of the run engine.
 
 Covers the resilience layer end to end with the deterministic executor
-fault injector (:mod:`repro.engine.faultsim`): worker-crash recovery
+fault injector (:mod:`tests._resilience_tasks`): worker-crash recovery
 must stay bit-identical to a clean serial run, hung points must be
 killed and retried under a timeout, a crash or a timeout must cost
 only the worker that ran the point, exhausted points must be salvaged
@@ -22,8 +22,6 @@ import time
 import pytest
 
 from repro.engine import (
-    ExecFaultPlan,
-    FaultyTask,
     ParallelExecutor,
     PointFailureError,
     ResultCache,
@@ -35,6 +33,8 @@ from repro.engine import (
     resolve_policy,
 )
 from tests._resilience_tasks import (
+    ExecFaultPlan,
+    FaultyTask,
     exit_once_then_square,
     grid_spec,
     kill_spec,

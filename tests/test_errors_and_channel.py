@@ -180,13 +180,9 @@ class TestReverseChannel:
         channel = ReverseChannel(sim)
         outcomes = []
         channel.add_listener(lambda tx, ok: outcomes.append(ok))
-
-        def sender():
-            channel.transmit(self._tx(sim, "a", duration=1.0), Link())
-            yield sim.timeout(1.5)
-            channel.transmit(self._tx(sim, "b", duration=1.0), Link())
-
-        sim.process(sender())
+        channel.transmit(self._tx(sim, "a", duration=1.0), Link())
+        sim.call_at(1.5, lambda: channel.transmit(
+            self._tx(sim, "b", duration=1.0), Link()))
         sim.run()
         assert outcomes == [True, True]
 
@@ -195,13 +191,9 @@ class TestReverseChannel:
         channel = ReverseChannel(sim)
         outcomes = []
         channel.add_listener(lambda tx, ok: outcomes.append(ok))
-
-        def sender():
-            channel.transmit(self._tx(sim, "a", duration=1.0), Link())
-            yield sim.timeout(0.9)
-            channel.transmit(self._tx(sim, "b", duration=1.0), Link())
-
-        sim.process(sender())
+        channel.transmit(self._tx(sim, "a", duration=1.0), Link())
+        sim.call_at(0.9, lambda: channel.transmit(
+            self._tx(sim, "b", duration=1.0), Link()))
         sim.run()
         assert outcomes == [False, False]
 

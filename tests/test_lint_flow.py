@@ -8,8 +8,9 @@ the syntactic rules.
 
 import json
 import subprocess
+from pathlib import Path
 
-from repro.lint import check_project, check_source, sarif_report
+from repro.lint import FlowEngine, check_project, check_source, sarif_report
 from repro.lint.checker import Finding
 from repro.lint.cli import changed_files, main as lint_main
 from repro.lint.project import Project
@@ -199,7 +200,7 @@ class TestPragmas:
 class TestReachability:
     def test_hot_via_call_graph(self):
         # obs/collector.py is in no curated HOT list; v2 flags the
-        # print because the collector is reachable from Simulator.step.
+        # print because the collector is reachable from Simulator.run.
         collector = (
             "src/repro/obs/collector.py",
             "def note(value):\n"
@@ -211,7 +212,7 @@ class TestReachability:
             "\n"
             "\n"
             "class Simulator:\n"
-            "    def step(self):\n"
+            "    def run(self):\n"
             "        note(1)\n",
         )
         assert rules_of(check_source(*reversed(collector))) == []
@@ -250,6 +251,23 @@ class TestReachability:
         assert rules_of(report) == ["HOT001", "HOT002"]
         assert [finding.line for finding in report.findings] == [13, 15]
         assert rules_of(check_project([beacon("pass")])) == []
+
+    def test_real_tree_periodic_callbacks_are_hot(self):
+        # The cycle, GPS report, monitor and sampler loops re-arm
+        # themselves with call_at, so the call graph reaches what they
+        # run from the kernel's roots.
+        root = Path(__file__).resolve().parents[1]
+        sources = [(path.relative_to(root).as_posix(),
+                    path.read_text(encoding="utf-8"))
+                   for path in sorted((root / "src/repro").rglob("*.py"))]
+        hot = FlowEngine(Project.build(sources)).hot_reachable()
+        for qname in ("core.base_station.BaseStation._build_cycle",
+                      "core.base_station.BaseStation._make_cf",
+                      "core.base_station.BaseStation._broadcast_cf",
+                      "core.gps_unit.GpsSubscriber._generate_report",
+                      "faults.invariants.InvariantMonitor.check_now",
+                      "obs.timeline.TimelineRecorder._sample"):
+            assert f"repro.{qname}" in hot
 
     def test_unreachable_print_is_clean(self):
         collector = (
