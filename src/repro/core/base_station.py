@@ -95,7 +95,7 @@ class CycleRecord:
     __slots__ = ("cycle", "start", "layout", "gps_assignment",
                  "data_assignment", "contention_slots",
                  "forward_assignment", "cf2_listener", "grants",
-                 "slot_results")
+                 "slot_results", "last_data_slot")
 
     def __init__(self, cycle: int, start: float,
                  layout: timing.ReverseLayout,
@@ -116,10 +116,7 @@ class CycleRecord:
         self.grants = {} if grants is None else grants
         self.slot_results: List[Optional[SlotResult]] = \
             [None] * layout.data_slots
-
-    @property
-    def last_data_slot(self) -> int:
-        return self.layout.data_slots - 1
+        self.last_data_slot = layout.data_slots - 1
 
     @property
     def last_slot_user(self) -> Optional[int]:

@@ -198,11 +198,10 @@ class GpsSubscriber(SubscriberBase):
                     > self.config.gps_deadline + 1e-9):
                 self.stats.gps_deadline_misses += 1
         self._last_tx_time = start
-        frame = UplinkFrame(kind=KIND_GPS, cycle=cycle,
-                            slot_kind=SLOT_GPS, slot_index=slot_index,
-                            packet=report, uid=self.uid)
+        # Positional arguments: this runs once per GPS slot.
+        frame = UplinkFrame(KIND_GPS, cycle, SLOT_GPS, slot_index, report,
+                            self.uid)
         self.reverse.transmit(
-            Transmission(sender=self.name, payload=frame, start=start,
-                         duration=GPS_ON_AIR, kind=KIND_GPS,
-                         codewords=[b""]),
+            Transmission(self.name, frame, start, GPS_ON_AIR, KIND_GPS,
+                         [b""]),
             self.reverse_link)

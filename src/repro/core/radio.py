@@ -16,7 +16,7 @@ guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple, Tuple
 
 from repro.phy import timing
 from repro.phy.intervals import spans_overlap
@@ -24,26 +24,24 @@ from repro.phy.intervals import spans_overlap
 TX = "tx"
 RX = "rx"
 
+#: A claim as the radio stores it: ``(kind, start, end, label)``.
+_Claim = Tuple[str, float, float, str]
 
-class RadioClaim:
+
+class RadioClaim(NamedTuple):
     """One scheduled use of the radio.
 
-    A plain ``__slots__`` class: subscribers record a claim for every
-    control-field reception and every scheduled slot, making this one of
-    the most-constructed objects in a cell run.
+    The radio stores each claim as a plain ``(kind, start, end, label)``
+    tuple -- subscribers record one for every control-field reception
+    and every scheduled slot, making claims among the most-created
+    objects in a cell run -- and builds this named view of it only for
+    a recorded violation.  The two compare equal field for field.
     """
 
-    __slots__ = ("kind", "start", "end", "label")
-
-    def __init__(self, kind: str, start: float, end: float, label: str = ""):
-        self.kind = kind  # TX or RX
-        self.start = start
-        self.end = end
-        self.label = label
-
-    def __repr__(self) -> str:
-        return (f"RadioClaim(kind={self.kind!r}, start={self.start!r}, "
-                f"end={self.end!r}, label={self.label!r})")
+    kind: str  # TX or RX
+    start: float
+    end: float
+    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -62,51 +60,57 @@ class HalfDuplexRadio:
                  turnaround: float = timing.MS_TURNAROUND_TIME):
         self.owner = owner
         self.turnaround = turnaround
-        self._claims: List[RadioClaim] = []
+        self._claims: List[_Claim] = []
         self.violations: List[RadioViolation] = []
 
     def claim(self, kind: str, start: float, end: float,
-              label: str = "") -> RadioClaim:
-        """Record a scheduled TX/RX interval and audit it."""
+              label: str = "") -> _Claim:
+        """Record a scheduled TX/RX interval and audit it.
+
+        Returns the stored ``(kind, start, end, label)`` tuple.
+        """
         if kind not in (TX, RX):
             raise ValueError(f"kind must be 'tx' or 'rx', got {kind!r}")
         if end <= start:
             raise ValueError(f"empty interval [{start}, {end})")
-        claim = RadioClaim(kind, start, end, label)
+        claim = (kind, start, end, label)
+        claims = self._claims
         turnaround = self.turnaround
-        audit = self._audit_pair
-        for other in reversed(self._claims):
+        index = len(claims)
+        while index:
+            index -= 1
+            other = claims[index]
             # Claims are appended in loosely increasing time order; stop
             # scanning once we are past any possible conflict window.
-            if other.end + turnaround <= start:
+            if other[2] + turnaround <= start:
                 break
-            audit(other, claim)
-        self._claims.append(claim)
+            self._audit_pair(other, claim)
+        claims.append(claim)
         return claim
 
-    def _audit_pair(self, first: RadioClaim, second: RadioClaim) -> None:
-        overlap = spans_overlap(first.start, first.end,
-                                second.start, second.end)
-        if overlap:
-            if first.kind == second.kind == RX:
+    def _audit_pair(self, first: _Claim, second: _Claim) -> None:
+        first_kind, first_start, first_end, _ = first
+        second_kind, second_start, second_end, _ = second
+        if spans_overlap(first_start, first_end, second_start, second_end):
+            if first_kind == second_kind == RX:
                 return  # hearing two broadcasts at once is fine
             self.violations.append(RadioViolation(
-                first=first, second=second,
-                reason="transmit/receive overlap"))
+                RadioClaim._make(first), RadioClaim._make(second),
+                "transmit/receive overlap"))
             return
-        if first.kind != second.kind:
-            gap = max(second.start - first.end, first.start - second.end)
+        if first_kind != second_kind:
+            gap = max(second_start - first_end, first_start - second_end)
             if gap < self.turnaround - 1e-9:
                 self.violations.append(RadioViolation(
-                    first=first, second=second,
-                    reason=f"turnaround gap {gap * 1000:.1f} ms < "
-                           f"{self.turnaround * 1000:.0f} ms"))
+                    RadioClaim._make(first), RadioClaim._make(second),
+                    f"turnaround gap {gap * 1000:.1f} ms < "
+                    f"{self.turnaround * 1000:.0f} ms"))
 
     def prune(self, before: float) -> None:
         """Drop claims that ended before ``before`` (memory bound)."""
         horizon = before - self.turnaround
         self._claims = [claim for claim in self._claims
-                        if claim.end >= horizon]
+                        if claim[2] >= horizon]
 
     @property
     def claim_count(self) -> int:
@@ -120,5 +124,5 @@ class HalfDuplexRadio:
         and must not start listening in the new cell until the
         transmission (plus turnaround) has cleared.
         """
-        return max((claim.end for claim in self._claims
-                    if claim.kind == TX), default=0.0)
+        return max((end for kind, _start, end, _label in self._claims
+                    if kind == TX), default=0.0)

@@ -738,17 +738,14 @@ class DataSubscriber(SubscriberBase):
             self.stats.data_packets_sent += 1
             if contention:
                 self.stats.data_in_contention_sent += 1
+        # Positional arguments: this runs once per data slot.
         frame = UplinkFrame(
-            kind=KIND_DATA, cycle=cycle, slot_kind=SLOT_DATA,
-            slot_index=slot_index, packet=packet, uid=self.uid,
-            contention=contention,
-            first_attempt_time=pending["first_time"] if pending else start,
-            first_attempt_cycle=pending["first_cycle"] if pending
-            else cycle)
+            KIND_DATA, cycle, SLOT_DATA, slot_index, packet, self.uid,
+            contention, pending["first_time"] if pending else start,
+            pending["first_cycle"] if pending else cycle)
         self.reverse.transmit(
-            Transmission(sender=self.name, payload=frame, start=start,
-                         duration=DATA_ON_AIR, kind=KIND_DATA,
-                         codewords=self._encode_uplink(packet)),
+            Transmission(self.name, frame, start, DATA_ON_AIR, KIND_DATA,
+                         self._encode_uplink(packet)),
             self.reverse_link)
 
     # -- contention (reservation / data-in-contention) ---------------------------

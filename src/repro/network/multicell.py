@@ -35,6 +35,7 @@ keeps no state per past hop or per delivered message.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
@@ -253,16 +254,22 @@ class MultiCellNetwork:
         # subscriber is a pure function of (seed, ein, hop) -- identical
         # whichever group hosts it.
         rng = self._ein_streams(ein)[f"traffic-hop{hop}"]
+        # Destinations: any data EIN but ``ein`` (always one of them).
+        # Choosing an index from a ``range`` makes the same draw as
+        # choosing from a list of the others; the index then steps over
+        # ``ein``'s place in the ascending list.
+        eins = self._data_eins
+        others = range(len(eins) - 1)
+        own = bisect_left(eins, ein)
 
         def deliver(message: Message,
                     sub: DataSubscriber = subscriber) -> None:
             counter = self._msg_counter.get(ein, 0)
             self._msg_counter[ein] = counter + 1
             message.message_id = ein * _MSG_ID_STRIDE + counter
-            if rng.random() < self.config.inter_cell_fraction:
-                candidates = [e for e in self._data_eins if e != ein]
-                if candidates:
-                    message.destination_ein = rng.choice(candidates)
+            if rng.random() < self.config.inter_cell_fraction and others:
+                pick = rng.choice(others)
+                message.destination_ein = eins[pick + (pick >= own)]
             sub.submit_message(message)
 
         self._sources[ein] = PoissonMessageSource(

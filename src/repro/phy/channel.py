@@ -46,7 +46,9 @@ class Transmission:
     full-fidelity mode, the real RS-encoded codewords; in the latter
     case the receiving link corrupts and decodes them, and the decoded
     information bytes are exposed to the receiver's callback via
-    ``decoded_info`` (set per receiver just before its callback runs).
+    ``decoded_info`` (set per full-fidelity receiver just before its
+    callback runs; a broadcast clears it once, not per receiver, since
+    a cell's links all share its fidelity).
 
     A plain ``__slots__`` class (one is allocated for every slot
     transmission and every forward broadcast); ``end`` is precomputed at
@@ -217,7 +219,12 @@ class ReverseChannel:
                 num_codewords = (len(transmission.codewords)
                                  if transmission.codewords is not None
                                  else 1)
-                ok = link.survives(num_codewords)
+                # A perfect link only counts (see Link.survives); a fade
+                # may have swapped the model since the last delivery.
+                if isinstance(link.error_model, PerfectChannelModel):
+                    link.codewords_sent += num_codewords
+                else:
+                    ok = link.survives(num_codewords)
             transmission.lost = not ok
         for listener in self._listeners:
             listener(transmission, ok)
@@ -260,13 +267,18 @@ class ForwardChannel:
     def _complete(self, transmission: Transmission, receivers) -> None:
         num_codewords = (len(transmission.codewords)
                          if transmission.codewords is not None else 1)
+        transmission.decoded_info = None
         for _receiver_id, (link, callback) in receivers:
-            transmission.decoded_info = None
             if link.full_fidelity and transmission.has_real_codewords:
                 decoded = link.deliver_codewords(transmission.codewords)
                 ok = decoded is not None
-                if ok:
-                    transmission.decoded_info = b"".join(decoded)
+                transmission.decoded_info = \
+                    b"".join(decoded) if decoded is not None else None
+            elif isinstance(link.error_model, PerfectChannelModel):
+                # A perfect link only counts (see Link.survives); a fade
+                # may have swapped the model since the last delivery.
+                link.codewords_sent += num_codewords
+                ok = True
             else:
                 ok = link.survives(num_codewords)
             callback(transmission, ok)

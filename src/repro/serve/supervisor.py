@@ -18,6 +18,7 @@ journal's per-cycle snapshots and torn-tail-tolerant loader exist for.
 
 from __future__ import annotations
 
+import queue
 import signal
 import threading
 import time
@@ -57,6 +58,9 @@ class Supervisor:
         self.started_at = time.monotonic()
         self._threads: Dict[str, threading.Thread] = {}
         self._lock = threading.Lock()
+        #: Each worker thread puts itself here as it exits, waking run().
+        self._exited: queue.SimpleQueue[threading.Thread] = \
+            queue.SimpleQueue()
 
     # -- construction ------------------------------------------------------
 
@@ -90,6 +94,13 @@ class Supervisor:
 
     def _worker(self, cell: CellService, resume: bool,
                 reason: Optional[str]) -> None:
+        try:
+            self._pace(cell, resume, reason)
+        finally:
+            self._exited.put(threading.current_thread())
+
+    def _pace(self, cell: CellService, resume: bool,
+              reason: Optional[str]) -> None:
         try:
             cell.start(resume=resume)
             if reason:
@@ -210,7 +221,12 @@ class Supervisor:
         """Watchdog loop until every worker exits; 0 iff all clean."""
         duration = self.serve_config.duration_s
         while not self.done:
-            self.stop_event.wait(_TICK_S)
+            # Woken at once by a worker's exit; the tick keeps the
+            # watchdog and ``duration_s`` on cadence.
+            try:
+                self._exited.get(timeout=_TICK_S).join()
+            except queue.Empty:
+                pass
             if duration is not None and \
                     time.monotonic() - self.started_at >= duration:
                 self.request_shutdown()

@@ -75,6 +75,8 @@ def phy_cell_digest(config: CellConfig) -> str:
 
 #: Symbol-level channels: each codeword is corrupted symbol by symbol
 #: and run through the RS decoder, so these pin the codec's outcomes.
+#: One perfect-channel cell pins the codeword counts of the other
+#: delivery path.
 PHY_CELLS = {
     # survives() on a Gilbert-Elliott channel.
     "ge": (CellConfig(num_data_users=9, num_gps_users=3, load_index=0.8,
@@ -88,6 +90,16 @@ PHY_CELLS = {
                        cycles=200, warmup_cycles=20, seed=1),
             "fd15e0625aa65ca02354b1e85bdb1111"
             "78448d7265d5e79893bc5c764ed741b4"),
+    # Perfect links, which the channels count without survives(),
+    # faded to an outage model and back: a faded link must draw, and a
+    # clean one count each delivery once.
+    "perfect_fade": (
+        CellConfig(num_data_users=9, num_gps_users=3, load_index=0.8,
+                   faults=parse_faults("fade:data-*@60+8*0.3;"
+                                       "fade:gps-*@120+3*0.9"),
+                   cycles=200, warmup_cycles=20, seed=1),
+        "2337488f5cb7e2adbc682f7b3e2d418f"
+        "9f88917e28e13aeafdb27cf07fc90c53"),
     # deliver_codewords() over real codewords.
     "full_fidelity_iid": (
         CellConfig(num_data_users=5, num_gps_users=2, load_index=0.5,

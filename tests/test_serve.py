@@ -552,6 +552,21 @@ class TestSupervisor:
         assert sup.cells["cell0"].cell_config.seed != \
             sup.cells["cell1"].cell_config.seed
 
+    def test_run_returns_when_last_cell_stops(self, tmp_path,
+                                              monkeypatch):
+        # The last worker's exit wakes run(); it does not wait out a tick.
+        monkeypatch.setattr("repro.serve.supervisor._TICK_S", 10.0)
+        sup = Supervisor(serve_config(tmp_path, cells=1, max_cycles=5),
+                         small_cell())
+        sup.start()
+        began = time.monotonic()
+        code = sup.run()
+        elapsed = time.monotonic() - began
+        sup.join(timeout=10.0)
+        assert code == 0
+        assert sup.cells["cell0"].cycle == 5
+        assert elapsed < 2.0
+
     def test_watchdog_restarts_stalled_cell(self, tmp_path):
         sup = Supervisor(
             serve_config(tmp_path, cycle_period_s=0.005,
