@@ -89,17 +89,12 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="S",
                         help="per-point wall-clock limit in seconds "
-                             "(parallel executor; REPRO_TIMEOUT)")
-    parser.add_argument("--retries", type=int, default=None, metavar="N",
+                             "(parallel executor)")
+    parser.add_argument("--retries", type=int, default=0, metavar="N",
                         help="extra attempts for failed or timed-out "
-                             "points (REPRO_RETRIES)")
-    parser.add_argument("--resume", action="store_true",
-                        help="checkpoint the grid to a journal and "
-                             "resume an interrupted run "
-                             "(REPRO_RESUME=1)")
+                             "points")
     parser.add_argument("--fail-fast", action="store_true",
-                        help="abort on the first exhausted point "
-                             "(REPRO_FAIL_FAST=1)")
+                        help="abort on the first exhausted point")
 
 
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
@@ -332,11 +327,7 @@ def _observed_sweep(args: argparse.Namespace, loads, seeds, policy):
 
 def _command_sweep(args: argparse.Namespace) -> int:
     """An ad-hoc engine load sweep straight from the command line."""
-    from repro.engine import (
-        PointFailureError,
-        resolve_policy,
-        telemetry,
-    )
+    from repro.engine import PointFailureError, RunPolicy, telemetry
     from repro.experiments.runner import PAPER_LOADS, sweep_loads
 
     try:
@@ -348,10 +339,8 @@ def _command_sweep(args: argparse.Namespace) -> int:
               f"got --loads {args.loads!r} --seeds {args.seeds!r}",
               file=sys.stderr)
         return 2
-    policy = resolve_policy(
-        timeout_s=args.timeout, retries=args.retries,
-        resume=args.resume or None,
-        fail_fast=args.fail_fast or None)
+    policy = RunPolicy(timeout_s=args.timeout, retries=args.retries,
+                       fail_fast=args.fail_fast)
     telemetry.reset()
     try:
         if args.metrics or args.profile:

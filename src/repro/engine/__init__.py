@@ -9,31 +9,30 @@ makes that structure explicit and shared:
   config) with an optional reducer, so an experiment module is a spec
   plus a table formatter instead of bespoke nested loops.
 * :mod:`~repro.engine.executors` -- pluggable serial and parallel
-  executors (``--jobs N`` / ``REPRO_JOBS``) that produce bit-identical
-  results for the same spec.  The parallel one runs on the
+  executors (``--jobs N``) that produce bit-identical results for the
+  same spec.  The parallel one runs on the
   :class:`~repro.engine.executors.WorkerPool` the city's shards also
   use: a crash or timeout respawns only the worker that ran the point,
   and workers exit on EOF, so a killed run leaves no orphans.
 * :mod:`~repro.engine.policy` -- the :class:`RunPolicy` resilience
-  knobs (``--timeout/--retries/--fail-fast/--resume`` with ``REPRO_*``
-  env mirrors) and the structured :class:`PointFailure` salvage record.
-* :mod:`~repro.engine.checkpoint` -- the durable ``AppendLog`` every
-  journal is built on, and the per-spec journals of completed points,
-  so a SIGKILLed sweep resumed with ``--resume`` recomputes only the
-  unfinished points.
+  knobs (``--timeout/--retries/--fail-fast``) and the structured
+  :class:`PointFailure` salvage record.
+* :mod:`~repro.engine.checkpoint` -- the durable ``AppendLog`` the
+  service and city journals are built on.
 * :mod:`~repro.engine.cache` -- an on-disk result cache under
   ``.repro-cache/`` keyed by a content hash of the point's config plus a
   fingerprint of the package source, so repeated invocations skip
-  simulations that already ran; corrupt entries are quarantined and
+  simulations that already ran and a SIGKILLed sweep, rerun, recomputes
+  only the unfinished points; corrupt entries are quarantined and
   orphaned temp files scavenged.
 * :mod:`~repro.engine.telemetry` -- per-execution instrumentation
   (points executed, cache hits, retries, timeouts, worker respawns,
-  journal resumes, failures, per-point wall-clock) surfaced by
+  failures, per-point wall-clock) surfaced by
   ``python -m repro.experiments``.
 """
 
 from repro.engine.cache import ResultCache, default_cache_dir, resolve_cache
-from repro.engine.checkpoint import SweepJournal, default_journal_dir
+from repro.engine.checkpoint import default_journal_dir
 from repro.engine.executors import (
     MapReport,
     ParallelExecutor,
@@ -47,7 +46,6 @@ from repro.engine.policy import (
     PointFailure,
     PointFailureError,
     RunPolicy,
-    policy_from_env,
     resolve_policy,
     set_default_policy,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "RunResult",
     "RunSpec",
     "SerialExecutor",
-    "SweepJournal",
     "canonical",
     "cell_point",
     "code_fingerprint",
@@ -86,7 +83,6 @@ __all__ = [
     "get_executor",
     "group_means",
     "point_key",
-    "policy_from_env",
     "resolve_cache",
     "resolve_jobs",
     "resolve_policy",

@@ -3,8 +3,13 @@
 Results live under ``.repro-cache/`` (override with ``REPRO_CACHE_DIR``)
 as one JSON file per point, named by the point's content hash
 (:func:`repro.engine.hashing.point_key`).  Only JSON-serializable task
-results are cached; anything else is recomputed every run.  Set
-``REPRO_CACHE=0`` to disable caching globally.
+results are cached; anything else is recomputed every run.
+
+The cache is also what resumes a killed sweep: ``execute`` stores each
+point the moment it finishes, so rerunning the same command recomputes
+only the points that were still unfinished.  A stored value keeps the
+key order it was computed in, so a resumed sweep prints the same bytes
+as an uninterrupted one.
 
 Hygiene: writes go through ``mkstemp`` + rename, so a process killed
 mid-write can orphan a ``*.tmp`` file -- stale ones are scavenged the
@@ -25,11 +30,6 @@ from typing import Any, Optional, Set, Tuple
 
 def default_cache_dir() -> str:
     return os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
-
-
-def cache_enabled_by_env() -> bool:
-    return os.environ.get("REPRO_CACHE", "1").lower() not in (
-        "0", "off", "no", "false")
 
 
 #: ``*.tmp`` files older than this are presumed orphaned by a dead
@@ -148,18 +148,14 @@ class ResultCache:
         return removed
 
 
-def resolve_cache(cache: Any = None,
-                  cache_dir: Optional[str] = None
-                  ) -> Optional[ResultCache]:
+def resolve_cache(cache: Any = None) -> Optional[ResultCache]:
     """Interpret the ``cache`` knob every experiment entry point takes.
 
-    ``None`` -> on unless ``REPRO_CACHE=0``; ``False`` -> off; ``True``
-    -> on; a :class:`ResultCache` instance -> used as-is.
+    ``None`` or ``True`` -> on; ``False`` -> off; a
+    :class:`ResultCache` instance -> used as-is.
     """
     if isinstance(cache, ResultCache):
         return cache
     if cache is False:
         return None
-    if cache is None and not cache_enabled_by_env():
-        return None
-    return ResultCache(cache_dir)
+    return ResultCache()

@@ -1,36 +1,23 @@
-"""Durable journals: one append-only log, three record schemas.
+"""Durable journals: one append-only log, two record schemas.
 
 :class:`AppendLog` is the one durable-log primitive: a JSONL file, its
 :class:`JournalLock` pidfile, and the rule for what counts as
-committed.  Three record schemas sit on it: :class:`SweepJournal`
-here, the service journal (:mod:`repro.serve.journal`) and the city
-journal (:mod:`repro.shard.journal`).
+committed.  Two record schemas sit on it: the service journal
+(:mod:`repro.serve.journal`) and the city journal
+(:mod:`repro.shard.journal`).  Journals live under
+``<cache-dir>/journal/`` (override with ``REPRO_JOURNAL_DIR``).
 
-A :class:`SweepJournal` records every completed point of one spec as a
-single line ``{"key": <point_key>, "value": ...}``, appended the moment
-the point finishes.  A sweep killed at any instant -- including
-SIGKILL, which never reaches Python -- therefore loses at most the
-points still in flight; ``execute(..., resume=True)`` (CLI
-``--resume`` / ``REPRO_RESUME=1``) replays the matching lines instead
-of recomputing them and keeps journaling the rest.
-
-Layout: journals live under ``<cache-dir>/journal/`` (override with
-``REPRO_JOURNAL_DIR``), one ``<spec>-<grid-digest>.jsonl`` file per
-(spec name, grid fingerprint).  The grid digest hashes the full list of
-point keys -- which already fingerprint config *and* package source --
-so resuming after a config, grid, or code change starts a fresh journal
-rather than replaying stale values.  A journal is deleted once its
-sweep finishes with no failures (the result cache, when enabled, still
-holds the values).
+Finished sweep points need no journal: the result cache
+(:mod:`repro.engine.cache`) stores each one as it finishes, so a killed
+sweep rerun with the same command recomputes only the rest.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import mmap
 import os
-from typing import Any, Dict, Iterator, Optional, Sequence, TextIO
+from typing import Any, Dict, Iterator, Optional, TextIO
 
 
 def default_journal_dir() -> str:
@@ -188,8 +175,6 @@ class AppendLog:
     run pointing at an unlisted file; :meth:`sync` fsyncs on demand.
     """
 
-    sort_keys = True  # canonical record bytes
-
     def __init__(self, path: str):
         self.path = path
         self.lock = JournalLock(path + ".lock")
@@ -222,7 +207,7 @@ class AppendLog:
 
     def append_record(self, record: Dict[str, Any]) -> None:
         """Commit one record; a non-JSON record raises before writing."""
-        line = json.dumps(record, sort_keys=self.sort_keys) + "\n"
+        line = json.dumps(record, sort_keys=True) + "\n"
         handle = self._handle
         first = handle is None
         if handle is None:
@@ -281,32 +266,3 @@ class AppendLog:
         """Delete the log and release its lock (its run finished)."""
         self.reset()
         self.lock.release()
-
-
-class SweepJournal(AppendLog):
-    """Completed-point journal for one spec grid."""
-
-    #: Resumed values keep their computed key order, which reducers
-    #: such as ``mean_of_summaries`` pass on to the sweep's output.
-    sort_keys = False
-
-    def __init__(self, name: str, keys: Sequence[str],
-                 root: Optional[str] = None):
-        digest = hashlib.sha256(
-            "\n".join(keys).encode("utf-8")).hexdigest()[:16]
-        super().__init__(journal_path(root, f"{name}-{digest}", ".jsonl"))
-        self._keys = frozenset(keys)
-
-    def load(self) -> Dict[str, Any]:
-        """Completed ``key -> value`` entries belonging to this grid."""
-        return {record["key"]: record.get("value")
-                for record in self.records()
-                if record.get("key") in self._keys}
-
-    def append(self, key: str, value: Any) -> bool:
-        """Journal one completed point (no-op for non-JSON values)."""
-        try:
-            self.append_record({"key": key, "value": value})
-        except (TypeError, ValueError):
-            return False  # recomputed on resume instead
-        return True

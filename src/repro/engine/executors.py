@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing
-import os
 import signal
 import time
 from collections import deque
@@ -59,19 +58,10 @@ Handler = Callable[[Any], Any]
 RESPAWN_SLACK = 8
 
 
-def invoke(fn: Callable[[Any], Any], config: Any,
-           attempt: int = 1) -> Tuple[Any, float]:
-    """Run one task, timing it in the process that executes it.
-
-    Tasks that declare ``wants_attempt = True`` (e.g. the executor
-    fault injector of the resilience tests) also receive the 1-based
-    attempt number.
-    """
+def invoke(fn: Callable[[Any], Any], config: Any) -> Tuple[Any, float]:
+    """Run one task, timing it in the process that executes it."""
     started = time.perf_counter()
-    if getattr(fn, "wants_attempt", False):
-        value = fn(config, attempt)
-    else:
-        value = fn(config)
+    value = fn(config)
     return value, time.perf_counter() - started
 
 
@@ -132,7 +122,7 @@ class SerialExecutor:
         error: Optional[BaseException] = None
         for attempt in range(1, policy.attempts + 1):
             try:
-                value, seconds = invoke(fn, config, attempt)
+                value, seconds = invoke(fn, config)
             except Exception as exc:
                 error = exc
                 if attempt < policy.attempts:
@@ -188,11 +178,9 @@ def point_runner() -> Handler:
     message))``, or ``("interrupt", None)`` when the task raised
     ``KeyboardInterrupt``."""
 
-    def run_point(request: Tuple[Callable[[Any], Any], Any, int]
-                  ) -> Tuple[str, Any]:
-        fn, config, attempt = request
+    def run_point(request: Task) -> Tuple[str, Any]:
         try:
-            return "ok", invoke(fn, config, attempt)
+            return "ok", invoke(*request)
         except Exception as exc:
             return "error", (type(exc).__name__, str(exc))
         except KeyboardInterrupt:
@@ -332,8 +320,7 @@ class _Dispatch:
         self.report = MapReport()
         self.done: List[Optional[PointOutcome]] = [None] * count
         self.remaining = count
-        #: Hand-outs per point (also the 1-based attempt number that
-        #: ``invoke`` passes through to attempt-aware tasks).
+        #: Hand-outs per point.
         self.submits = [0] * count
         #: Attempts charged against the retry budget (exceptions and
         #: timeouts; crash-lost runs are re-run for free).
@@ -370,9 +357,8 @@ class _Dispatch:
             index = self.ready.popleft()
             self.submits[index] += 1
             self.begun[index] = self.begun[index] or time.monotonic()
-            fn, config = self.tasks[index]
             try:
-                self.pool.send(idle[-1], (fn, config, self.submits[index]))
+                self.pool.send(idle[-1], self.tasks[index])
             except Exception as exc:  # e.g. a task that does not pickle
                 self._attempt_failed(index, FAILURE_EXCEPTION,
                                      type(exc).__name__, str(exc))
@@ -469,20 +455,13 @@ class _Dispatch:
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """``jobs`` -> explicit value > ``REPRO_JOBS`` env > 1 (serial)."""
-    if jobs is not None:
-        return max(1, int(jobs))
-    env = os.environ.get("REPRO_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    """The worker count for ``jobs``: ``None`` means 1 (serial), and
+    anything below 1 is raised to it."""
+    return 1 if jobs is None else max(1, int(jobs))
 
 
 def get_executor(jobs: Optional[int] = None):
-    """The executor for ``jobs`` (resolving env defaults)."""
+    """The executor for ``jobs`` (see :func:`resolve_jobs`)."""
     count = resolve_jobs(jobs)
     if count <= 1:
         return SerialExecutor()

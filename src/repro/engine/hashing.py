@@ -46,7 +46,9 @@ def canonical(obj: Any) -> Any:
         return sorted(canonical(item) for item in obj)
     if callable(obj) and hasattr(obj, "__qualname__"):
         # Named callables (task functions) project to their qualified
-        # name so wrapper tasks hash by *which* function they wrap.
+        # name; callable instances (task wrappers) have none and fall
+        # through to their type and fields, so wrappers around
+        # different functions never collide.
         return f"{obj.__module__}.{obj.__qualname__}"
     if hasattr(obj, "__dict__"):
         fields = {key: canonical(value)
@@ -59,25 +61,6 @@ def canonical(obj: Any) -> Any:
 def _type_name(obj: Any) -> str:
     cls = type(obj)
     return f"{cls.__module__}.{cls.__qualname__}"
-
-
-def fn_name(fn: Callable) -> str:
-    """The stable qualified name of a task function."""
-    return f"{fn.__module__}.{fn.__qualname__}"
-
-
-def task_fingerprint(fn: Callable) -> Any:
-    """A stable identity for a task: name, or state for instances.
-
-    Plain module-level functions hash by qualified name.  Callable
-    *instances* (e.g. the executor fault injector's wrapper tasks) have
-    no ``__qualname__`` of their own; they project through
-    :func:`canonical`, which captures their type plus field values --
-    so two wrappers around different functions never collide.
-    """
-    if hasattr(fn, "__qualname__"):
-        return fn_name(fn)
-    return canonical(fn)
 
 
 def code_fingerprint() -> str:
@@ -114,7 +97,6 @@ def point_key(fn: Callable, config: Any) -> str:
     any kernel edit changes every key.
     """
     payload = json.dumps(
-        [CACHE_SCHEMA, code_fingerprint(),
-         task_fingerprint(fn), canonical(config)],
+        [CACHE_SCHEMA, code_fingerprint(), canonical(fn), canonical(config)],
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -1,19 +1,20 @@
-"""Execution policy: per-point timeouts, retries, fail-fast, resume.
+"""Execution policy: per-point timeouts, retries, fail-fast.
 
 A :class:`RunPolicy` tells the engine how to treat slow, flaky, and
-crashed points.  Every knob has a ``REPRO_*`` environment mirror so
-long-running sweeps can be hardened without threading arguments through
-every experiment signature:
+crashed points.  ``repro sweep`` and ``python -m repro.experiments``
+set its knobs from their flags:
 
-========================  =====================  =======================
-knob                      CLI flag               environment variable
-========================  =====================  =======================
-``timeout_s``             ``--timeout S``        ``REPRO_TIMEOUT``
-``retries``               ``--retries N``        ``REPRO_RETRIES``
-``backoff_s``             (none)                 ``REPRO_BACKOFF``
-``fail_fast``             ``--fail-fast``        ``REPRO_FAIL_FAST``
-``resume``                ``--resume``           ``REPRO_RESUME``
-========================  =====================  =======================
+========================  =====================
+knob                      CLI flag
+========================  =====================
+``timeout_s``             ``--timeout S``
+``retries``               ``--retries N``
+``fail_fast``             ``--fail-fast``
+========================  =====================
+
+The experiments CLI installs its policy as the process default
+(:func:`set_default_policy`), so every runner's ``execute`` call sees
+it without a ``policy`` argument.
 
 Points that exhaust their attempts become structured
 :class:`PointFailure` records collected into the run's failure report
@@ -23,8 +24,6 @@ raises :class:`PointFailureError` instead.
 
 from __future__ import annotations
 
-import dataclasses
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -52,9 +51,6 @@ class RunPolicy:
     #: Raise :class:`PointFailureError` on the first exhausted point
     #: instead of salvaging partial results.
     fail_fast: bool = False
-    #: Replay and keep writing the per-spec checkpoint journal
-    #: (:mod:`repro.engine.checkpoint`).
-    resume: bool = False
 
     @property
     def attempts(self) -> int:
@@ -116,43 +112,7 @@ class PointFailureError(RuntimeError):
         self.failure = failure
 
 
-# -- resolution: explicit args > policy object > env > defaults ----------
-
-
-def _env_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        return None
-
-
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return None
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in (
-        "1", "true", "yes", "on")
-
-
-def policy_from_env() -> RunPolicy:
-    """The policy implied by the ``REPRO_*`` environment mirrors."""
-    return RunPolicy(
-        timeout_s=_env_float("REPRO_TIMEOUT"),
-        retries=_env_int("REPRO_RETRIES") or 0,
-        backoff_s=(_env_float("REPRO_BACKOFF")
-                   if _env_float("REPRO_BACKOFF") is not None else 0.05),
-        fail_fast=_env_flag("REPRO_FAIL_FAST"),
-        resume=_env_flag("REPRO_RESUME"))
+# -- resolution: explicit policy > CLI default > RunPolicy() ----------
 
 
 #: Process-wide default installed by CLIs (``set_default_policy``).
@@ -162,22 +122,14 @@ _DEFAULT_POLICY: Optional[RunPolicy] = None
 def set_default_policy(policy: Optional[RunPolicy]) -> None:
     """Install (or clear, with ``None``) the process default policy.
 
-    Lets a CLI apply ``--timeout/--retries/--resume/--fail-fast`` to
-    every ``execute`` call without changing experiment signatures.
+    Lets a CLI apply ``--timeout/--retries/--fail-fast`` to every
+    ``execute`` call without changing experiment signatures.
     """
     global _DEFAULT_POLICY
     _DEFAULT_POLICY = policy
 
 
-def resolve_policy(policy: Optional[RunPolicy] = None,
-                   **overrides: Any) -> RunPolicy:
-    """Merge an explicit policy, keyword overrides, and the env.
-
-    ``overrides`` accepts any :class:`RunPolicy` field; ``None`` values
-    are ignored.  Base precedence: explicit ``policy`` argument, then
-    the CLI-installed default, then the ``REPRO_*`` environment.
-    """
-    base = policy or _DEFAULT_POLICY or policy_from_env()
-    changes = {name: value for name, value in overrides.items()
-               if value is not None}
-    return dataclasses.replace(base, **changes) if changes else base
+def resolve_policy(policy: Optional[RunPolicy] = None) -> RunPolicy:
+    """The explicit ``policy``, else the CLI-installed default, else
+    ``RunPolicy()``."""
+    return policy or _DEFAULT_POLICY or RunPolicy()

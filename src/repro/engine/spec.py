@@ -11,13 +11,12 @@ config), serial and parallel execution of the same spec produce
 bit-identical results, and a cached value is indistinguishable from a
 recomputed one.
 
-Fault tolerance: ``execute`` resolves a
+Fault tolerance: ``execute`` runs under a
 :class:`~repro.engine.policy.RunPolicy` (per-point timeouts, retries,
-fail-fast, resume) from its arguments, the CLI-installed default, or
-the ``REPRO_*`` environment.  Completed points are persisted to the
-cache and, under ``resume=True``, to a crash-safe checkpoint journal
-*as they finish*, so a killed sweep recomputes only unfinished points.
-Points that exhaust their attempts are salvaged as
+fail-fast): its ``policy`` argument, else the CLI-installed default.
+Completed points are stored in the result cache *as they finish*, so a
+killed sweep rerun with the same cache recomputes only the unfinished
+points.  Points that exhaust their attempts are salvaged as
 :class:`~repro.engine.policy.PointFailure` records on the
 :class:`RunResult` (and skipped by the reducer) instead of aborting
 the sweep.
@@ -30,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.cache import resolve_cache
-from repro.engine.checkpoint import SweepJournal
 from repro.engine.executors import MapReport, PointOutcome, get_executor
 from repro.engine.hashing import point_key
 from repro.engine.policy import PointFailure, RunPolicy, resolve_policy
@@ -93,30 +91,18 @@ class RunResult:
 def execute(spec: RunSpec,
             jobs: Optional[int] = None,
             cache: Any = None,
-            cache_dir: Optional[str] = None,
-            policy: Optional[RunPolicy] = None,
-            timeout_s: Optional[float] = None,
-            retries: Optional[int] = None,
-            fail_fast: Optional[bool] = None,
-            resume: Optional[bool] = None) -> RunResult:
+            policy: Optional[RunPolicy] = None) -> RunResult:
     """Evaluate every point of ``spec`` and reduce.
 
-    ``jobs``: 1 = serial (default), N >= 2 = process pool; ``None``
-    falls back to the ``REPRO_JOBS`` environment variable.  ``cache``:
-    ``None`` = on unless ``REPRO_CACHE=0``, ``False`` = off, ``True`` or
-    a :class:`~repro.engine.cache.ResultCache` = on.
-
-    ``policy`` (or the ``timeout_s``/``retries``/``fail_fast``/
-    ``resume`` shorthands) controls fault tolerance; unset knobs fall
-    back to the CLI default and the ``REPRO_*`` environment (see
-    :mod:`repro.engine.policy`).
+    ``jobs``: ``None`` or 1 = serial, N >= 2 = process pool.
+    ``cache``: ``None`` or ``True`` = on, ``False`` = off, or a
+    :class:`~repro.engine.cache.ResultCache` to use.  ``policy``
+    controls fault tolerance (see :mod:`repro.engine.policy`).
     """
     started = time.perf_counter()
-    run_policy = resolve_policy(policy, timeout_s=timeout_s,
-                                retries=retries, fail_fast=fail_fast,
-                                resume=resume)
+    run_policy = resolve_policy(policy)
     executor = get_executor(jobs)
-    store = resolve_cache(cache, cache_dir)
+    store = resolve_cache(cache)
 
     count = len(spec.points)
     values: List[Any] = [None] * count
@@ -124,36 +110,22 @@ def execute(spec: RunSpec,
     keys = [point_key(point.fn, point.config)
             for point in spec.points]
 
-    journal: Optional[SweepJournal] = None
-    restored: Dict[str, Any] = {}
-    if run_policy.resume:
-        journal = SweepJournal(spec.name, keys)
-        # Fail loudly if another live process is resuming this grid:
-        # two writers would interleave appends on the same journal.
-        journal.acquire()
-        restored = journal.load()
-
     quarantined_before = store.quarantined if store is not None else 0
     pending: List[int] = []
-    resumed = 0
     for index, key in enumerate(keys):
         if store is not None:
             hit, value = store.get(key)
             if hit:
                 values[index] = value
                 continue
-        if key in restored:
-            values[index] = restored[key]
-            resumed += 1
-            continue
         pending.append(index)
 
     report = MapReport()
     if pending:
 
         def on_outcome(outcome: PointOutcome) -> None:
-            # Runs in this process the moment a point resolves, so
-            # completed work survives a kill arriving mid-sweep.
+            # Runs in this process the moment a point resolves, so a
+            # killed sweep, rerun, finds its finished points cached.
             grid_index = pending[outcome.index]
             if outcome.failure is not None:
                 outcome.failure.index = grid_index
@@ -165,31 +137,19 @@ def execute(spec: RunSpec,
             seconds[grid_index] = outcome.seconds
             if store is not None:
                 store.put(keys[grid_index], outcome.value)
-            if journal is not None:
-                journal.append(keys[grid_index], outcome.value)
 
         tasks = [(spec.points[index].fn, spec.points[index].config)
                  for index in pending]
-        try:
-            report = executor.map(tasks, policy=run_policy,
-                                  on_outcome=on_outcome)
-        finally:
-            if journal is not None:
-                journal.close()
+        report = executor.map(tasks, policy=run_policy,
+                              on_outcome=on_outcome)
 
     failures = report.failures
-    if journal is not None:
-        journal.close()
-        if not failures:
-            journal.discard()
-
     stats = EngineStats(
         spec=spec.name,
         points=count,
         executed=len(pending),
-        cache_hits=count - len(pending) - resumed,
+        cache_hits=count - len(pending),
         jobs=executor.jobs,
-        resumed=resumed,
         retries=report.retries,
         timeouts=report.timeouts,
         respawns=report.respawns,

@@ -5,8 +5,8 @@ Every :func:`repro.engine.spec.execute` call records one
 experiment CLI resets the log around each experiment and prints the
 aggregate (points, cache hits, wall-clock, points/sec, plus the
 resilience counters -- retries, timeouts, worker respawns (printed as
-"pool respawns"), journal resumes, quarantined cache entries,
-failures) after the table.
+"pool respawns"), quarantined cache entries, failures) after the
+table.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ class EngineStats:
     cache_hits: int = 0
     jobs: int = 1
     wall_s: float = 0.0
-    #: Points replayed from the checkpoint journal (``--resume``).
-    resumed: int = 0
     #: Re-attempts granted after exceptions or timeouts.
     retries: int = 0
     #: Points that exceeded the per-point wall-clock limit.
@@ -40,7 +38,7 @@ class EngineStats:
     #: Points that exhausted their attempts (salvaged, not raised).
     failures: List[PointFailure] = field(default_factory=list)
     #: Per-point compute seconds, measured inside the executing process
-    #: (cache hits and journal replays contribute 0.0).
+    #: (cache hits contribute 0.0).
     point_seconds: List[float] = field(default_factory=list)
 
     @property
@@ -52,8 +50,6 @@ class EngineStats:
         if self.cache_hits:
             parts.append(f"{self.executed} executed, "
                          f"{self.cache_hits} cached")
-        if self.resumed:
-            parts.append(f"{self.resumed} resumed")
         if self.jobs > 1:
             parts.append(f"jobs={self.jobs}")
         if self.retries:
@@ -90,8 +86,6 @@ def publish_to_registry(stats: EngineStats) -> None:
         .inc(stats.executed)
     points.labels(spec=stats.spec, disposition="cached") \
         .inc(stats.cache_hits)
-    points.labels(spec=stats.spec, disposition="resumed") \
-        .inc(stats.resumed)
     points.labels(spec=stats.spec, disposition="failed") \
         .inc(len(stats.failures))
     resilience = registry.counter(
@@ -155,10 +149,6 @@ class TelemetryLog:
         return sum(record.cache_hits for record in self.records)
 
     @property
-    def total_resumed(self) -> int:
-        return sum(record.resumed for record in self.records)
-
-    @property
     def total_retries(self) -> int:
         return sum(record.retries for record in self.records)
 
@@ -190,8 +180,6 @@ class TelemetryLog:
         wall = self.total_wall_s
         rate = points / wall if wall > 0 else 0.0
         extras = []
-        if self.total_resumed:
-            extras.append(f", {self.total_resumed} resumed")
         if self.total_retries:
             extras.append(f", {self.total_retries} retries")
         if self.total_timeouts:

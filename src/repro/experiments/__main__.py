@@ -6,20 +6,19 @@ Usage::
     python -m repro.experiments fig8a fig8b --quick
     python -m repro.experiments all --quick --jobs 4
     python -m repro.experiments fig8a --no-cache
-    python -m repro.experiments chaos --jobs 4 --resume --retries 2
+    python -m repro.experiments chaos --jobs 4 --retries 2
 
-``--jobs N`` (or ``REPRO_JOBS=N``) runs the experiment's simulation grid
-on a process pool; results are bit-identical to ``--jobs 1``.  Results
-are cached under ``.repro-cache/`` (keyed by config + code version), so
-reruns of an unchanged experiment skip the simulations entirely; disable
-with ``--no-cache`` or ``REPRO_CACHE=0``.
+``--jobs N`` runs the experiment's simulation grid on a process pool;
+results are bit-identical to ``--jobs 1``.  Results are cached under
+``.repro-cache/`` (keyed by config + code version), so reruns of an
+unchanged experiment skip the simulations entirely, and a killed run
+started again picks up where it was killed; disable with
+``--no-cache``.
 
-Resilience flags (``REPRO_TIMEOUT``/``REPRO_RETRIES``/``REPRO_RESUME``/
-``REPRO_FAIL_FAST`` env mirrors): ``--timeout``/``--retries`` bound and
-retry slow or flaky points, ``--resume`` checkpoints each grid so an
-interrupted run picks up where it was killed, and points that exhaust
-their retries are reported (exit code 1) instead of aborting the sweep
--- unless ``--fail-fast`` asks for an immediate abort.
+Resilience flags: ``--timeout``/``--retries`` bound and retry slow or
+flaky points, and points that exhaust their retries are reported
+(exit code 1) instead of aborting the sweep -- unless ``--fail-fast``
+asks for an immediate abort.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import List, Optional
 
 from repro.engine import (
     PointFailureError,
-    resolve_policy,
+    RunPolicy,
     set_default_policy,
     telemetry,
 )
@@ -86,28 +85,21 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                         help="smaller runs (benchmark-sized)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="simulation points run in parallel on N "
-                             "processes (default: REPRO_JOBS or 1)")
+                             "processes (default 1)")
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore and do not write .repro-cache/")
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="S",
                         help="per-point wall-clock limit in seconds; "
                              "hung workers are killed and the point "
-                             "retried (parallel executor; "
-                             "REPRO_TIMEOUT)")
-    parser.add_argument("--retries", type=int, default=None,
+                             "retried (parallel executor)")
+    parser.add_argument("--retries", type=int, default=0,
                         metavar="N",
                         help="extra attempts for failed or timed-out "
-                             "points, with exponential backoff "
-                             "(REPRO_RETRIES)")
-    parser.add_argument("--resume", action="store_true",
-                        help="checkpoint each grid to a journal and "
-                             "resume an interrupted run, recomputing "
-                             "only unfinished points (REPRO_RESUME=1)")
+                             "points, with exponential backoff")
     parser.add_argument("--fail-fast", action="store_true",
                         help="abort on the first exhausted point "
-                             "instead of salvaging partial results "
-                             "(REPRO_FAIL_FAST=1)")
+                             "instead of salvaging partial results")
     parser.add_argument("--plot", action="store_true",
                         help="also render each result as an ASCII chart")
     parser.add_argument("--save-csv", metavar="DIR",
@@ -131,12 +123,10 @@ def run(args: argparse.Namespace) -> int:
         default_registry().enable()
         default_registry().reset()
     # Install the resilience flags as the process-default policy so
-    # every execute() call under every runner sees them (unset flags
-    # still fall back to the REPRO_* environment mirrors).
-    set_default_policy(resolve_policy(
+    # every execute() call under every runner sees them.
+    set_default_policy(RunPolicy(
         timeout_s=args.timeout, retries=args.retries,
-        resume=args.resume or None,
-        fail_fast=args.fail_fast or None))
+        fail_fast=args.fail_fast))
     exit_code = 0
     try:
         for name in names:

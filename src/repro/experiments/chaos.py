@@ -109,9 +109,9 @@ def run(quick: bool = False,
         jobs: Optional[int] = None,
         cache: Any = None,
         policy: Any = None) -> ExperimentResult:
-    # The full (non-quick) grid is the longest sweep in the suite;
-    # start it with --resume so a kill/reboot only costs the points
-    # that had not yet been journaled.
+    # The full (non-quick) grid is the longest sweep in the suite; the
+    # result cache keeps each point as it finishes, so a kill/reboot
+    # only costs the points that had not yet finished.
     result = execute(spec(quick=quick, seeds=seeds), jobs=jobs,
                      cache=cache, policy=policy)
     rows = [[point["intensity"], point["churn"],

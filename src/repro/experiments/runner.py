@@ -2,8 +2,7 @@
 
 The sweep itself is delegated to :mod:`repro.engine`: every (load, seed)
 pair becomes one engine point, so sweeps run serial or parallel
-(``jobs``/``REPRO_JOBS``) and hit the on-disk result cache
-transparently.
+(``jobs``) and hit the on-disk result cache transparently.
 """
 
 from __future__ import annotations
@@ -151,8 +150,8 @@ def observed_sweep_spec(loads: Sequence[float] = PAPER_LOADS,
     Each point runs :func:`repro.obs.observe.run_cell_observed`, so its
     value carries the summary *plus* the per-cycle timeline, the
     timeline digest, and (with ``profile=True``) the per-function
-    profile rows -- all JSON-serializable, so caching, parallel
-    execution, and resume work exactly as for a plain sweep.  The
+    profile rows -- all JSON-serializable, so caching and parallel
+    execution work exactly as for a plain sweep.  The
     reducer still yields the familiar per-load table.
     """
     from repro.obs.observe import run_cell_observed
@@ -186,7 +185,7 @@ def sweep_loads(loads: Sequence[float] = PAPER_LOADS,
     callable disables caching, since its code is not part of the cache
     key -- and must be a module-level function to run with jobs > 1).
     ``policy`` is an optional :class:`repro.engine.RunPolicy` with the
-    resilience knobs (timeouts, retries, resume, fail-fast).
+    resilience knobs (timeouts, retries, fail-fast).
     """
     spec = sweep_spec(loads=loads, seeds=seeds, quick=quick,
                       metric=metric, **config_overrides)

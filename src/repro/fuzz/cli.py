@@ -39,7 +39,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                         help="number of cases to generate (default 50)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="process-pool width (engine executor; "
-                             "REPRO_JOBS)")
+                             "default 1)")
     parser.add_argument("--serve-fraction", type=float, default=0.2,
                         help="fraction of cases run through the "
                              "service mode (default 0.2)")

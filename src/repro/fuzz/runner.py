@@ -46,7 +46,7 @@ _SUMMARY_KEYS = ("utilization", "message_loss_rate",
 def run_fuzz_case(case: FuzzCase) -> Dict[str, Any]:
     """Run one case under the full oracle stack; returns the verdict.
 
-    The verdict is plain JSON (the engine may journal it, the corpus
+    The verdict is plain JSON (the engine may cache it, the corpus
     stores it).  Exceptions propagate -- the engine's salvage turns
     them into structured failures; direct callers (the shrinker)
     catch them.

@@ -196,10 +196,9 @@ _ORDER_SANITIZER_FUNCS = {
     "repro.engine.hashing.canonical",
 }
 
-_JOURNAL_CLASSES = {"AppendLog", "ServiceJournal", "SweepJournal",
-                    "CityJournal"}
+_JOURNAL_CLASSES = {"AppendLog", "ServiceJournal", "CityJournal"}
 _JOURNAL_METHODS = {
-    "append", "append_control", "append_snapshot", "append_event",
+    "append_control", "append_snapshot", "append_event",
     "append_epoch", "write_header", "append_record",
 }
 _ENVELOPE_SINK_FUNCS = {

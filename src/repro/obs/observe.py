@@ -2,8 +2,8 @@
 
 :func:`run_cell_observed` is a module-level task function (picklable by
 reference, JSON-serializable result) so observed sweeps run through the
-normal engine machinery: parallel executors, the result cache, retries
-and resume all work unchanged, and the per-cycle timeline rides back to
+normal engine machinery: parallel executors, the result cache and
+retries all work unchanged, and the per-cycle timeline rides back to
 the parent alongside the summary.
 """
 

@@ -20,6 +20,10 @@ processes, interpreters, and ``--jobs`` settings.  Faults fire on
 attempts ``1..faults_per_point`` and then stop, so a cursed point
 always succeeds once the engine grants it enough attempts -- which is
 what lets recovery tests demand bit-identity with a fault-free run.
+A :class:`FaultyTask` counts its own attempts: each call at a cursed
+point leaves one marker file under ``plan.marker_dir`` before any
+fault fires, so the next attempt -- in a respawned worker or in the
+parent -- knows how many came before it.
 
 Fault kinds:
 
@@ -65,6 +69,8 @@ def _unit(token: str) -> float:
 class ExecFaultPlan:
     """Seed-stable worker crash/hang/error schedule."""
 
+    #: Where each cursed call leaves its attempt marker.
+    marker_dir: str
     seed: int = 0
     crash_rate: float = 0.0
     hang_rate: float = 0.0
@@ -74,11 +80,14 @@ class ExecFaultPlan:
     #: How long a ``hang`` fault stalls before computing normally.
     hang_s: float = 60.0
 
+    def token(self, config: Any) -> str:
+        """The stable identity of ``config`` under this plan."""
+        return json.dumps([self.seed, canonical(config)],
+                          sort_keys=True, separators=(",", ":"))
+
     def fault_for(self, config: Any) -> Optional[str]:
         """The fault kind scheduled for ``config`` (or ``None``)."""
-        token = json.dumps([self.seed, canonical(config)],
-                           sort_keys=True, separators=(",", ":"))
-        draw = _unit(token)
+        draw = _unit(self.token(config))
         if draw < self.crash_rate:
             return KIND_CRASH
         if draw < self.crash_rate + self.hang_rate:
@@ -100,14 +109,29 @@ class FaultyTask:
     fn: Callable[[Any], Any]
     plan: ExecFaultPlan
 
-    #: Makes ``invoke`` pass the 1-based attempt number through.
-    wants_attempt = True
-
-    def __call__(self, config: Any, attempt: int = 1) -> Any:
+    def __call__(self, config: Any) -> Any:
         kind = self.plan.fault_for(config)
-        if kind is not None and attempt <= self.plan.faults_per_point:
+        if kind is not None \
+                and self._attempt(config) <= self.plan.faults_per_point:
             self._fire(kind)
         return self.fn(config)
+
+    def _attempt(self, config: Any) -> int:
+        """This call's 1-based attempt at ``config``: the first marker
+        number not yet taken, which this call then takes."""
+        digest = hashlib.sha256(
+            self.plan.token(config).encode("utf-8")).hexdigest()[:16]
+        stem = os.path.join(self.plan.marker_dir, digest)
+        os.makedirs(self.plan.marker_dir, exist_ok=True)
+        attempt = 1
+        while True:
+            try:
+                os.close(os.open(f"{stem}.{attempt}",
+                                 os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                attempt += 1
+            else:
+                return attempt
 
     def _fire(self, kind: str) -> None:
         if kind == KIND_CRASH:

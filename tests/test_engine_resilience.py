@@ -6,7 +6,7 @@ must stay bit-identical to a clean serial run, hung points must be
 killed and retried under a timeout, a crash or a timeout must cost
 only the worker that ran the point, exhausted points must be salvaged
 as structured failures, and a SIGKILLed sweep must leave no worker
-running and resume from its checkpoint journal recomputing only the
+running and resume from the result cache recomputing only the
 unfinished points.
 """
 
@@ -27,7 +27,6 @@ from repro.engine import (
     ResultCache,
     RunPolicy,
     RunSpec,
-    SweepJournal,
     execute,
     point_key,
     resolve_policy,
@@ -51,9 +50,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # -- crash / hang / error recovery ----------------------------------------
 
 
-def test_parallel_crash_recovery_is_bit_identical():
+def test_parallel_crash_recovery_is_bit_identical(tmp_path):
     """Workers dying mid-grid must not change the sweep's results."""
-    plan = ExecFaultPlan(seed=0, crash_rate=0.3)
+    plan = ExecFaultPlan(marker_dir=str(tmp_path), seed=0, crash_rate=0.3)
     spec = grid_spec(12, fn=FaultyTask(fn=square, plan=plan),
                      name="crash-recovery")
     cursed = plan.cursed([point.config for point in spec.points])
@@ -67,9 +66,10 @@ def test_parallel_crash_recovery_is_bit_identical():
     assert result.stats.points == 12
 
 
-def test_parallel_hang_timeout_recovery():
+def test_parallel_hang_timeout_recovery(tmp_path):
     """Hung workers are killed at the deadline and the point retried."""
-    plan = ExecFaultPlan(seed=0, hang_rate=0.3, hang_s=30.0)
+    plan = ExecFaultPlan(marker_dir=str(tmp_path), seed=0, hang_rate=0.3,
+                         hang_s=30.0)
     spec = grid_spec(6, fn=FaultyTask(fn=square, plan=plan),
                      name="hang-recovery")
     cursed = plan.cursed([point.config for point in spec.points])
@@ -89,8 +89,9 @@ def test_parallel_hang_timeout_recovery():
     assert elapsed < 20.0
 
 
-def test_serial_retries_until_success():
-    plan = ExecFaultPlan(seed=0, error_rate=1.0, faults_per_point=2)
+def test_serial_retries_until_success(tmp_path):
+    plan = ExecFaultPlan(marker_dir=str(tmp_path), seed=0, error_rate=1.0,
+                         faults_per_point=2)
     spec = grid_spec(4, fn=FaultyTask(fn=square, plan=plan),
                      name="serial-retry")
 
@@ -102,10 +103,11 @@ def test_serial_retries_until_success():
     assert result.stats.retries == 8  # 2 burned attempts per point
 
 
-def test_exhausted_retries_are_salvaged_not_raised():
+def test_exhausted_retries_are_salvaged_not_raised(tmp_path):
     """Failed points become PointFailure records; the reducer only
     ever sees the survivors."""
-    plan = ExecFaultPlan(seed=0, error_rate=0.3, faults_per_point=99)
+    plan = ExecFaultPlan(marker_dir=str(tmp_path), seed=0, error_rate=0.3,
+                         faults_per_point=99)
     base = grid_spec(8, fn=FaultyTask(fn=square, plan=plan))
     cursed = plan.cursed([point.config for point in base.points])
     assert 0 < len(cursed) < 8
@@ -132,8 +134,9 @@ def test_exhausted_retries_are_salvaged_not_raised():
     assert len(json.loads(json.dumps(report))["failed"]) == len(cursed)
 
 
-def test_fail_fast_raises_point_failure_error():
-    plan = ExecFaultPlan(seed=0, error_rate=1.0, faults_per_point=99)
+def test_fail_fast_raises_point_failure_error(tmp_path):
+    plan = ExecFaultPlan(marker_dir=str(tmp_path), seed=0, error_rate=1.0,
+                         faults_per_point=99)
     spec = grid_spec(3, fn=FaultyTask(fn=square, plan=plan),
                      name="fail-fast")
     with pytest.raises(PointFailureError) as caught:
@@ -166,10 +169,11 @@ def test_crash_respawns_only_the_dead_worker(tmp_path):
     assert report.respawns == 1
 
 
-def test_timeout_kills_only_the_hung_worker():
+def test_timeout_kills_only_the_hung_worker(tmp_path):
     """A hung point is killed at its deadline; the point that spans
     the deadline on the other worker is not re-run."""
-    hung = FaultyTask(fn=square, plan=ExecFaultPlan(hang_rate=1.0))
+    hung = FaultyTask(fn=square, plan=ExecFaultPlan(
+        marker_dir=str(tmp_path), hang_rate=1.0))
     tasks = [(hung, {"x": 0}),
              (sleep_then_square, {"x": 1, "sleep_s": 0.5}),
              (sleep_then_square, {"x": 2, "sleep_s": 0.8})]
@@ -196,49 +200,39 @@ def test_unpicklable_task_is_salvaged_not_raised():
     assert report.respawns == 0
 
 
-# -- kill -> --resume ------------------------------------------------------
+# -- kill -> rerun on the same cache ------------------------------------
 
 
-def test_sigkilled_sweep_resumes_from_journal(tmp_path, monkeypatch):
-    """A sweep killed mid-point resumes recomputing only the rest."""
+def test_sigkilled_sweep_resumes_from_cache(tmp_path):
+    """A sweep killed mid-point, rerun on the same result cache,
+    recomputes only the rest and returns what a clean run returns."""
     marker = str(tmp_path / "died.marker")
-    journal_dir = str(tmp_path / "journal")
+    cache_dir = str(tmp_path / "cache")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(REPO_ROOT, "src"), REPO_ROOT])
-    env["REPRO_JOURNAL_DIR"] = journal_dir
-    env["REPRO_CACHE"] = "0"
 
     # Victim run: point 5 of 8 os._exit()s the interpreter -- to the
-    # journal this is indistinguishable from a SIGKILL mid-sweep.
+    # cache this is indistinguishable from a SIGKILL mid-sweep.
     code = (
         "from tests._resilience_tasks import kill_spec\n"
-        "from repro.engine import execute\n"
-        f"execute(kill_spec({marker!r}), jobs=1, cache=False, "
-        "resume=True)\n")
+        "from repro.engine import ResultCache, execute\n"
+        f"execute(kill_spec({marker!r}), jobs=1, "
+        f"cache=ResultCache({cache_dir!r}))\n")
     victim = subprocess.run([sys.executable, "-c", code],
                             cwd=REPO_ROOT, env=env,
                             capture_output=True, text=True, timeout=120)
     assert victim.returncode == 9, victim.stderr
     assert os.path.exists(marker)
-    # The kill leaves the journal plus its (now-stale) pidfile lock;
-    # resume steals the stale lock and proceeds.
-    journals = sorted(os.listdir(journal_dir))
-    assert len(journals) == 2
-    assert journals[0].endswith(".jsonl")
-    assert journals[1].endswith(".jsonl.lock")
 
-    # Resume: the five journaled points are replayed, the in-flight
-    # point and the two never-started ones are recomputed.
-    monkeypatch.setenv("REPRO_JOURNAL_DIR", journal_dir)
-    result = execute(kill_spec(marker), jobs=1, cache=False,
-                     resume=True)
-    assert result.values == square_values(8)
-    assert result.stats.resumed == 5
+    # Rerun: the five finished points are cache hits, the in-flight
+    # point and the two never-started ones are computed.
+    result = execute(kill_spec(marker), jobs=1,
+                     cache=ResultCache(cache_dir))
+    assert result.stats.cache_hits == 5
     assert result.stats.executed == 3
-    assert "5 resumed" in result.stats.format()
-    # A cleanly finished sweep discards its journal.
-    assert os.listdir(journal_dir) == []
+    clean = execute(kill_spec(marker), jobs=1, cache=False)
+    assert json.dumps(result.values) == json.dumps(clean.values)
 
 
 @pytest.mark.slow
@@ -246,14 +240,12 @@ def test_sigkilled_sweep_resumes_from_journal(tmp_path, monkeypatch):
                     reason="finds the pool workers in /proc")
 def test_sigkilled_sweep_leaves_no_orphan_workers(tmp_path):
     """kill -9 a ``--jobs 2`` sweep: its workers see EOF and exit."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"),
-               REPRO_CACHE="0",
-               REPRO_JOURNAL_DIR=str(tmp_path / "journal"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
     victim = subprocess.Popen(
         [sys.executable, "-m", "repro", "sweep",
          "--loads", "0.3,0.6,0.9", "--seeds", "1,2,3,4",
          "--cycles", "2000", "--warmup", "60", "--jobs", "2",
-         "--resume", "--json"],
+         "--no-cache", "--json"],
         cwd=REPO_ROOT, env=env, stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL)
     try:
@@ -272,44 +264,6 @@ def test_sigkilled_sweep_leaves_no_orphan_workers(tmp_path):
         time.sleep(0.05)
     assert not any(map(running, workers)), \
         "a sweep worker outlived its killed parent"
-
-
-def test_journal_skips_torn_and_foreign_lines(tmp_path):
-    keys = ["key-a", "key-b"]
-    journal = SweepJournal("torn", keys, root=str(tmp_path))
-    assert journal.append("key-a", {"v": 1})
-    journal.close()
-    with open(journal.path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps({"key": "foreign", "value": 2}) + "\n")
-        handle.write('{"key": "key-b", "val')  # torn mid-write kill
-
-    loaded = SweepJournal("torn", keys, root=str(tmp_path)).load()
-    assert loaded == {"key-a": {"v": 1}}
-
-    # A different grid hashes to a different journal file.
-    other = SweepJournal("torn", keys + ["key-c"], root=str(tmp_path))
-    assert other.path != journal.path
-
-    journal.discard()
-    assert not os.path.exists(journal.path)
-
-
-def test_journal_rejects_unserializable_values(tmp_path):
-    journal = SweepJournal("binary", ["k"], root=str(tmp_path))
-    assert not journal.append("k", object())
-    assert journal.load() == {}
-    journal.close()
-
-
-def test_journal_keeps_value_key_order(tmp_path):
-    # Reducers emit the first value's key order, so a resumed value
-    # must come back in the order it was computed in.
-    journal = SweepJournal("order", ["k"], root=str(tmp_path))
-    assert journal.append("k", {"zeta": 1, "alpha": {"y": 2, "x": 3}})
-    journal.close()
-    value = SweepJournal("order", ["k"], root=str(tmp_path)).load()["k"]
-    assert list(value) == ["zeta", "alpha"]
-    assert list(value["alpha"]) == ["y", "x"]
 
 
 # -- cache hygiene satellites ----------------------------------------------
@@ -368,19 +322,24 @@ def test_execute_counts_quarantined_entries(tmp_path):
     assert result.values == square_values(2)  # recomputed, not lost
 
 
+def test_cache_rejects_unserializable_values(tmp_path):
+    cache = ResultCache(str(tmp_path))
+    assert not cache.put("k", object())
+    assert cache.get("k") == (False, None)
+
+
+def test_cache_keeps_value_key_order(tmp_path):
+    # Reducers emit the first value's key order, so a value rerun from
+    # the cache must come back in the order it was computed in.
+    assert ResultCache(str(tmp_path)).put(
+        "k", {"zeta": 1, "alpha": {"y": 2, "x": 3}})
+    hit, value = ResultCache(str(tmp_path)).get("k")
+    assert hit
+    assert list(value) == ["zeta", "alpha"]
+    assert list(value["alpha"]) == ["y", "x"]
+
+
 # -- policy resolution and CLI wiring --------------------------------------
-
-
-def test_policy_env_mirrors(monkeypatch):
-    monkeypatch.setenv("REPRO_TIMEOUT", "2.5")
-    monkeypatch.setenv("REPRO_RETRIES", "3")
-    monkeypatch.setenv("REPRO_FAIL_FAST", "1")
-    policy = resolve_policy()
-    assert policy.timeout_s == 2.5
-    assert policy.retries == 3
-    assert policy.fail_fast
-    # Explicit overrides beat the environment, including falsy ones.
-    assert resolve_policy(retries=0).retries == 0
 
 
 def test_backoff_is_exponential_and_capped():
@@ -395,9 +354,6 @@ def test_experiments_cli_installs_default_policy(monkeypatch, capsys):
     from repro.experiments import __main__ as experiments_cli
     from repro.experiments.runner import ExperimentResult
 
-    for name in ("REPRO_TIMEOUT", "REPRO_RETRIES", "REPRO_FAIL_FAST",
-                 "REPRO_RESUME"):
-        monkeypatch.delenv(name, raising=False)
     captured = {}
 
     def stub(quick=False, jobs=None, cache=None):
@@ -423,10 +379,9 @@ def test_sweep_cli_accepts_resilience_flags(tmp_path, monkeypatch,
     from repro.cli import main
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "journal"))
     code = main(["sweep", "--loads", "0.3", "--seeds", "1",
                  "--cycles", "40", "--warmup", "5",
-                 "--resume", "--retries", "1", "--json"])
+                 "--retries", "1", "--json"])
     assert code == 0
     out = capsys.readouterr().out
     points = json.loads(out)

@@ -11,7 +11,7 @@ from typing import Any, Callable, List, NamedTuple
 
 import pytest
 
-from repro.engine.checkpoint import JournalCorruptError, SweepJournal
+from repro.engine.checkpoint import AppendLog, JournalCorruptError
 from repro.serve.journal import ServiceJournal
 from repro.shard.journal import CityJournal
 
@@ -26,13 +26,6 @@ class Schema(NamedTuple):
 
 
 SCHEMAS = {
-    "sweep": Schema(
-        lambda root: SweepJournal("grid", ["k1", "k2", "k3", "k4"],
-                                  root=root),
-        [lambda j: j.append("k1", {"v": 1}),
-         lambda j: j.append("k2", [2, 2.5]),
-         lambda j: j.append("k3", "three")],
-        lambda j, loaded: j.append("k4", 4)),
     "serve": Schema(
         lambda root: ServiceJournal("cell", root=root),
         [lambda j: j.write_header("sha", {"users": 2}, {"period": 0}),
@@ -119,15 +112,14 @@ def test_every_corrupt_record_is_named(name, tmp_path):
 
 
 def test_torn_tail_longer_than_a_scan_chunk(tmp_path):
-    root = str(tmp_path)
-    keys = ["k1", "k2"]
-    journal = SweepJournal("grid", keys, root=root)
-    journal.append("k1", "x" * 10000)
-    journal.close()
-    with open(journal.path, "ab") as handle:
-        handle.write(b'{"key": "k2", "value": "' + b"y" * 10000)
-    resumed = SweepJournal("grid", keys, root=root)
-    resumed.append("k2", "z")
+    path = str(tmp_path / "log.jsonl")
+    log = AppendLog(path)
+    log.append_record({"v": "x" * 10000})
+    log.close()
+    with open(path, "ab") as handle:
+        handle.write(b'{"v": "' + b"y" * 10000)
+    resumed = AppendLog(path)
+    resumed.append_record({"v": "z"})
     resumed.close()
-    assert SweepJournal("grid", keys, root=root).load() == \
-        {"k1": "x" * 10000, "k2": "z"}
+    assert list(AppendLog(path).records()) == \
+        [{"v": "x" * 10000}, {"v": "z"}]

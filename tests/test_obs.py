@@ -353,7 +353,6 @@ class TestProfiler:
         from repro.cli import main as cli_main
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
         for _ in range(2):
             assert cli_main(["sweep", "--loads", "0.5", "--seeds", "1",
                              "--cycles", "20", "--warmup", "5",

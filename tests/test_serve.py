@@ -26,9 +26,9 @@ import pytest
 from repro.core.cell import build_cell
 from repro.core.config import CellConfig
 from repro.engine.checkpoint import (
+    AppendLog,
     JournalLock,
     JournalLockedError,
-    SweepJournal,
 )
 from repro.faults.injector import FaultInjector
 from repro.obs.registry import MetricsRegistry
@@ -108,39 +108,37 @@ class TestJournalLock:
         assert second.held
         second.release()
 
-    def test_sweep_journal_lock_conflict(self, tmp_path):
-        keys = ["k1", "k2"]
-        journal = SweepJournal("locked", keys, root=str(tmp_path))
-        journal.acquire()
-        journal.append("k1", {"v": 1})
-        with open(journal.lock.path, "w", encoding="utf-8") as handle:
+    def test_append_log_lock_conflict(self, tmp_path):
+        path = str(tmp_path / "locked.jsonl")
+        log = AppendLog(path)
+        log.acquire()
+        log.append_record({"v": 1})
+        with open(log.lock.path, "w", encoding="utf-8") as handle:
             handle.write("1\n")  # simulate another live owner
-        other = SweepJournal("locked", keys, root=str(tmp_path))
+        other = AppendLog(path)
         with pytest.raises(JournalLockedError):
             other.acquire()
-        os.unlink(journal.lock.path)
+        os.unlink(log.lock.path)
 
-    def test_sweep_journal_truncated_mid_record_tail(self, tmp_path):
-        keys = ["k1", "k2", "k3"]
-        journal = SweepJournal("torn2", keys, root=str(tmp_path))
-        journal.append("k1", {"v": 1})
-        journal.append("k2", {"v": 2})
-        journal.close()
+    def test_append_log_truncated_mid_record_tail(self, tmp_path):
+        path = str(tmp_path / "torn2.jsonl")
+        log = AppendLog(path)
+        log.append_record({"v": 1})
+        log.append_record({"v": 2})
+        log.close()
         # SIGKILL mid-write: chop the last record in half.
-        with open(journal.path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-        with open(journal.path, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(lines[:-1])
             handle.write(lines[-1][:len(lines[-1]) // 2])
-        loaded = SweepJournal("torn2", keys, root=str(tmp_path)).load()
-        assert loaded == {"k1": {"v": 1}}
-        # The resumed sweep's next point must not be glued to the torn
+        assert list(AppendLog(path).records()) == [{"v": 1}]
+        # The resumed run's next record must not be glued to the torn
         # fragment (and lost with it).
-        resumed = SweepJournal("torn2", keys, root=str(tmp_path))
-        resumed.append("k3", {"v": 3})
+        resumed = AppendLog(path)
+        resumed.append_record({"v": 3})
         resumed.close()
-        reloaded = SweepJournal("torn2", keys, root=str(tmp_path)).load()
-        assert reloaded == {"k1": {"v": 1}, "k3": {"v": 3}}
+        assert list(AppendLog(path).records()) == [{"v": 1}, {"v": 3}]
 
 
 # -- the service journal ----------------------------------------------------
