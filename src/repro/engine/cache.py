@@ -45,8 +45,6 @@ class ResultCache:
 
     def __init__(self, root: Optional[str] = None):
         self.root = root or default_cache_dir()
-        self.hits = 0
-        self.misses = 0
         self.quarantined = 0
         root_key = os.path.abspath(self.root)
         if root_key not in _SCAVENGED_ROOTS:
@@ -57,7 +55,7 @@ class ResultCache:
         return os.path.join(self.root, f"{key}.json")
 
     def get(self, key: str) -> Tuple[bool, Any]:
-        """``(hit, value)``; corrupt or absent entries count as misses.
+        """``(hit, value)``; corrupt or absent entries miss.
 
         Corrupt entries are additionally quarantined (renamed to
         ``<key>.corrupt``) so the key is recomputed and rewritten
@@ -68,13 +66,10 @@ class ResultCache:
             with open(path, "r", encoding="utf-8") as handle:
                 value = json.load(handle)
         except OSError:
-            self.misses += 1
             return False, None
         except ValueError:
             self._quarantine(path)
-            self.misses += 1
             return False, None
-        self.hits += 1
         return True, value
 
     def _quarantine(self, path: str) -> None:

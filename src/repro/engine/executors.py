@@ -274,12 +274,16 @@ class WorkerPool:
 
 
 class ParallelExecutor:
-    """Points on a :class:`WorkerPool`; results stay in submission order.
+    """Points on a :class:`WorkerPool`: largest work first, results in
+    task order.
 
     Task functions must be module-level (picklable by reference) and
     configs must be picklable -- true for every experiment task in
-    :mod:`repro.experiments`.  Each point goes to an idle worker, so a
-    crash or a timeout replaces only the worker that owns the point.
+    :mod:`repro.experiments`.  Idle workers take the pending point with
+    the largest ``config.work`` (see :class:`~repro.engine.spec.Point`),
+    so a heavy point does not start last; outcomes still come back in
+    task order.  A crash or a timeout replaces only the worker that
+    owns the point, and a re-run point joins the back of the queue.
     """
 
     def __init__(self, jobs: int):
@@ -328,7 +332,12 @@ class _Dispatch:
         self.last_error: List[Tuple[str, str, str]] = \
             [("", "", "")] * count
         self.begun = [0.0] * count
-        self.ready = deque(range(count))
+        #: Largest ``config.work`` first, so the heaviest points do not
+        #: start last and leave the other workers idle.  The sort is
+        #: stable: ties and configs without ``work`` keep task order.
+        work = [getattr(config, "work", 0) for _, config in tasks]
+        self.ready = deque(sorted(range(count), key=work.__getitem__,
+                                  reverse=True))
         #: min-heap of ``(due_monotonic, index)`` backoff waits.
         self.delayed: List[Tuple[float, int]] = []
         #: worker -> ``(index, monotonic hand-out time)`` of its point.

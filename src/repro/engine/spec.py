@@ -43,6 +43,12 @@ class Point:
     accepts ``config`` as its single argument and returns
     JSON-serializable data (so the result can be cached).  ``label``
     carries the point's grid coordinates for reducers to group by.
+
+    A config may expose ``work``, a number proportional to the point's
+    expected cost (a fuzz case's subscriber-cycles, say).  At ``jobs >=
+    2`` the pool hands out points largest work first, so the heaviest
+    do not start last; configs without it rank as 0 and keep task
+    order.  Results stay in task order either way.
     """
 
     fn: Callable[[Any], Any]

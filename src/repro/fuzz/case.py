@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Tuple
 
+from repro.core.config import CellConfig
+
 CASE_SCHEMA = "repro/fuzz-case@1"
 
 MODE_CELL = "cell"
@@ -89,16 +91,28 @@ class FuzzCase:
     def config(self) -> Dict[str, Any]:
         return dict(self.config_items)
 
+    def setting(self, name: str) -> Any:
+        """The value of config field ``name`` this case runs: its
+        override, else :class:`~repro.core.config.CellConfig`'s
+        default."""
+        return self.config.get(name, getattr(CellConfig, name))
+
     @property
     def cycles(self) -> int:
-        return int(self.config.get("cycles", 100))
+        return int(self.config.get("cycles", CellConfig.cycles))
 
-    def cell_config(self):
+    @property
+    def work(self) -> int:
+        """Subscriber-cycles (one subscriber simulated for one cycle):
+        the cost the engine's pool ranks points by."""
+        return self.cycles * (int(self.setting("num_data_users"))
+                              + int(self.setting("num_gps_users")))
+
+    def cell_config(self) -> CellConfig:
         """The :class:`~repro.core.config.CellConfig` this case runs.
 
         The invariant monitor is always on -- it is the first oracle.
         """
-        from repro.core.config import CellConfig
         from repro.faults.schedule import parse_faults
 
         return CellConfig(check_invariants=True,

@@ -81,8 +81,6 @@ def shrink_case(case: FuzzCase, bucket: str,
 
 def _candidates(case: FuzzCase) -> Iterator[FuzzCase]:
     """Smaller cases, most aggressive first (fixed, deterministic)."""
-    config = case.config
-
     # 1. Drop whole fault entries (later entries first: the triggering
     #    event is usually early, the noise late).
     faults = list(parse_faults(case.faults_text))
@@ -97,14 +95,14 @@ def _candidates(case: FuzzCase) -> Iterator[FuzzCase]:
 
     # 3. Shed population (halve, then decrement).
     for field, floor in (("num_data_users", 1), ("num_gps_users", 0)):
-        count = int(config.get(field, 0))
+        count = int(case.setting(field))
         for smaller in _shrink_int(count, floor):
             yield case.with_config(**{field: smaller})
 
     # 4. Shorten the run (halve toward a floor that keeps the config
     #    valid and leaves the oracles a little tail).
     cycles = case.cycles
-    warmup = int(config.get("warmup_cycles", 30))
+    warmup = int(case.setting("warmup_cycles"))
     floor = warmup + 20
     for smaller in _shrink_int(cycles, floor):
         yield case.with_config(cycles=smaller)
@@ -112,14 +110,14 @@ def _candidates(case: FuzzCase) -> Iterator[FuzzCase]:
         yield case.with_config(warmup_cycles=smaller)
 
     # 5. Calm the workload and the channel.
-    load = float(config.get("load_index", 0.5))
+    load = float(case.setting("load_index"))
     if load > 0.15:
         yield case.with_config(load_index=round(load / 2, 3))
-    if float(config.get("forward_load_index", 0.0)) > 0:
+    if float(case.setting("forward_load_index")) > 0:
         yield case.with_config(forward_load_index=0.0)
-    if config.get("error_model", "perfect") != "perfect":
+    if case.setting("error_model") != "perfect":
         yield case.with_config(error_model="perfect")
-    if config.get("registration_mode", "simultaneous") != "simultaneous":
+    if case.setting("registration_mode") != "simultaneous":
         yield case.with_config(registration_mode="simultaneous")
 
     # 6. Halve fade/storm windows (shorter disturbances).

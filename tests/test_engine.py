@@ -20,6 +20,8 @@ from repro.engine import (
     resolve_jobs,
     telemetry,
 )
+from repro.engine.executors import _Dispatch
+from repro.engine.policy import RunPolicy
 from repro.engine.spec import group_means, mean_of_summaries, \
     run_cell_summary
 
@@ -53,6 +55,52 @@ class TestExecutors:
     def test_parallel_executor_rejects_jobs_1(self):
         with pytest.raises(ValueError):
             ParallelExecutor(1)
+
+
+class Weighted:
+    """A config with a ``work`` estimate."""
+
+    def __init__(self, work: int):
+        self.work = work
+
+    def __repr__(self) -> str:
+        return f"Weighted({self.work})"
+
+
+class RecordingPool:
+    """A stand-in :class:`WorkerPool`: records each hand-out and has
+    the worker's reply waiting at once."""
+
+    def __init__(self, count: int):
+        self.count = count
+        self.sent = []
+        self.replies = {}
+
+    def send(self, worker, request):
+        fn, config = request
+        self.sent.append(config)
+        self.replies[worker] = ("ok", (fn(config), 0.0))
+
+    def ready(self, workers, timeout):
+        return [worker for worker in workers if worker in self.replies]
+
+    def recv(self, worker):
+        return self.replies.pop(worker)
+
+
+class TestWorkFirstHandOut:
+    def test_largest_work_first_results_in_task_order(self):
+        configs = ["first", Weighted(1), Weighted(5), "second",
+                   Weighted(3)]
+        pool = RecordingPool(count=2)
+        report = _Dispatch(pool, [(repr, config) for config in configs],
+                           RunPolicy(), None).run()
+        assert pool.sent == [configs[2], configs[4], configs[1],
+                             "first", "second"]
+        assert [outcome.index for outcome in report.outcomes] \
+            == list(range(len(configs)))
+        assert [outcome.value for outcome in report.outcomes] \
+            == [repr(config) for config in configs]
 
 
 class TestDeterminism:

@@ -217,6 +217,29 @@ class TestReleaseHearing:
         assert watch.heard == 1
 
 
+class TestCaseDefaults:
+    """A case without an override runs CellConfig's value, and its
+    accessors, its work and the shrinker read that same value."""
+
+    CASE = FuzzCase(campaign_seed=0, index=0, mode="cell")
+
+    def test_cycles_are_the_cells(self):
+        assert self.CASE.cycles == self.CASE.cell_config().cycles == 200
+
+    def test_work_counts_the_default_population(self):
+        assert self.CASE.work == self.CASE.cycles * 13
+
+    def test_shrinker_sheds_default_data_users(self):
+        proposed = []
+
+        def passing(candidate):
+            proposed.append(candidate.cell_config().num_data_users)
+            return {"ok": True, "bucket": None}
+
+        shrink_case(self.CASE, "synthetic:boom", evaluate=passing)
+        assert min(proposed) < 9
+
+
 class TestShrinker:
     def _synthetic(self, case):
         """Fails iff >= 4 data users AND a crash survives in the text.

@@ -208,8 +208,11 @@ class TestTimelineRecorder:
     def test_does_not_perturb_results(self):
         config = small_config()
         plain = run_cell(config).summary()
-        observed = observe_cell(config)["summary"]
-        assert observed == plain
+        # With the default registry, and with one that takes every
+        # publish.
+        for registry in (None, MetricsRegistry(enabled=True)):
+            observed = observe_cell(config, registry=registry)["summary"]
+            assert observed == plain
 
     def test_gps_deadline_margin_confirms_4s_guarantee(self):
         """The paper's R1-R3 claim, checked from on-air timing."""
