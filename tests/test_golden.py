@@ -9,16 +9,18 @@ edit the digest here and say why in CHANGES.md.
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from repro.core.cell import run_cell_detailed
 from repro.core.config import CellConfig
 from repro.engine import execute
-from repro.experiments import chaos, registration
+from repro.experiments import calibration, chaos, registration
 from repro.experiments.runner import sweep_spec
 from repro.faults.schedule import parse_faults
 from repro.fuzz.campaign import run_campaign
+from repro.phy.rs import RS_64_48
 from repro.serve.config import ServeConfig
 from repro.serve.service import CellService
 from repro.shard.config import CityConfig, MobilityConfig
@@ -115,6 +117,51 @@ PHY_CELLS = {
 def test_symbol_level_channel(name):
     config, expected = PHY_CELLS[name]
     assert_golden(f"{name} cell", phy_cell_digest(config), expected)
+
+
+#: 300 consecutive ``corrupt()`` outputs of each calibration scenario's
+#: model on one codeword, from ``random.Random(1)``, plus the stream's
+#: final state: pins every symbol-level draw, the screen limits 1, 2, 6,
+#: 13 and 26 of the i.i.d. and good-state draws and the bad-state walk.
+SYMBOL_DRAWS = {
+    "GE default (1% bad state)":
+        "93e477cfc0a891a97d1b5fa422f6a013"
+        "3345311ab8e0966f1e98de2ca5149072",
+    "GE deep fades":
+        "d08dee1409e005558196ac2982d7b259"
+        "bbbcfa80237d0b28609ac71c355e48aa",
+    "iid SER=0.5%":
+        "7639e650008a970b7180e80c5840bff6"
+        "f1fd122aa1acabbb447390c723653799",
+    "iid SER=2%":
+        "40e7d56c7db36c1e568c4749324d5a03"
+        "f55019bac357a31180007d1d34578e6b",
+    "iid SER=5%":
+        "69264e3387e53689512270c05cd179f8"
+        "aa80d95bcd066c68f02be12983f30f6a",
+    "iid SER=10%":
+        "62d33f6cc29fb89f2f481cb14126c302"
+        "8fac475926fdbb4f2fb7707f4ebdf677",
+}
+
+
+@pytest.mark.parametrize("name", list(SYMBOL_DRAWS))
+def test_symbol_draws(name):
+    model = dict(calibration.scenarios())[name]
+    clean = RS_64_48.encode(bytes(range(48)))
+    rng = random.Random(1)
+    outputs = [model.corrupt(clean, rng) for _ in range(300)]
+    assert_golden(f"{name} draws",
+                  digest_of({"outputs": outputs, "state": rng.getstate()}),
+                  SYMBOL_DRAWS[name])
+
+
+def test_calibration_quick():
+    # C1: the codeword loss rate of each scenario through the decoder.
+    result = execute(calibration.spec(quick=True), jobs=1, cache=False)
+    assert_golden("calibration", digest_of(result.values),
+                  "64bc188008cc492d4f943c66a4623897"
+                  "f10223f1b29f0953965aed473917b866")
 
 
 def test_fig8_quick_sweep():
