@@ -99,9 +99,6 @@ class Link:
         self.full_fidelity = full_fidelity
         self.codewords_sent = 0
         self.codewords_lost = 0
-        # The all-zero information word's codeword, used by survives().
-        # Reed-Solomon codes are linear, so it is the all-zero word.
-        self._clean_codeword = bytes(codec.n)
 
     def survives(self, num_codewords: int = 1) -> bool:
         """Decide whether a transmission of ``num_codewords`` survives.
@@ -122,18 +119,23 @@ class Link:
                     self.codewords_lost += num_codewords
                     return False
             return True
-        # Symbol-level model: corrupt dummy codewords; the reference-aware
-        # decoder skips the full RS machinery unless the error pattern
-        # exceeds the correction bound (see ReedSolomon.decode_reference).
-        clean = self._clean_codeword
-        decode_reference = self.codec.decode_reference
+        # Symbol-level model: probe the all-zero codeword (RS codes are
+        # linear), whose received word is the error pattern.  At most t
+        # errors always decode; beyond t the decoder decides, as in
+        # ReedSolomon.decode_reference, and a miscorrection delivers.
+        codec = self.codec
+        n, t = codec.n, codec.t
         for _ in range(num_codewords):
-            received = error_model.corrupt(clean, rng)
-            try:
-                decode_reference(received, clean)
-            except RSDecodeFailure:
-                self.codewords_lost += num_codewords
-                return False
+            found = error_model.errors(n, rng)
+            if len(found) > t:
+                pattern = bytearray(n)
+                for index, value in found:
+                    pattern[index] = value
+                try:
+                    codec.decode(pattern)
+                except RSDecodeFailure:
+                    self.codewords_lost += num_codewords
+                    return False
         return True
 
     def deliver_codewords(self,

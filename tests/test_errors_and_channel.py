@@ -96,13 +96,6 @@ class TestErrorModels:
         received = model.corrupt(RS_64_48.encode(bytes(48)), rng)
         assert not RS_64_48.check(received)
 
-    def test_ge_advance_resamples_state(self):
-        rng = random.Random(7)
-        model = GilbertElliottModel(p_good_to_bad=0.5, p_bad_to_good=0.5)
-        model.state = model.BAD
-        model.advance(10.0, rng)  # long gap: state resampled
-        assert model.state in (model.GOOD, model.BAD)
-
 
 class TestLink:
     def test_perfect_link_survives(self):
@@ -140,12 +133,20 @@ class TestLink:
     @pytest.mark.parametrize("n,k", [(64, 48), (32, 24), (255, 223)])
     def test_clean_codeword_needs_no_encode(self, n, k):
         """RS codes are linear: the zero message encodes to the zero
-        word, which ``survives`` corrupts as its clean codeword."""
+        word, so ``survives`` probes a codeword of the codec's length
+        whose received word is the error pattern alone."""
         codec = ReedSolomon(n, k)
         assert codec.encode(bytes(codec.k)) == bytes(codec.n)
-        link = Link(IndependentSymbolErrors(0.01), random.Random(12),
-                    codec=codec)
-        assert link._clean_codeword == bytes(codec.n)
+        lengths = []
+
+        class Recording(IndependentSymbolErrors):
+            def errors(self, n, rng):
+                lengths.append(n)
+                return super().errors(n, rng)
+
+        link = Link(Recording(0.01), random.Random(12), codec=codec)
+        assert link.survives(2)
+        assert lengths == [codec.n, codec.n]
 
 
 class TestReverseChannel:

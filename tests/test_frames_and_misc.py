@@ -90,19 +90,6 @@ class TestErrorModelEdges:
         with pytest.raises(ValueError):
             GilbertElliottModel(p_bad=1.5)
 
-    def test_ge_advance_short_gap_keeps_state(self):
-        model = GilbertElliottModel(p_good_to_bad=1e-9,
-                                    p_bad_to_good=1e-9)
-        model.state = model.BAD
-        model.advance(0.001, random.Random(2))
-        assert model.state == model.BAD  # memory survives short gaps
-
-    def test_ge_advance_zero_duration(self):
-        model = GilbertElliottModel()
-        state = model.state
-        model.advance(0.0, random.Random(3))
-        assert model.state == state
-
     def test_outage_validation(self):
         with pytest.raises(ValueError):
             OutageModel(-0.1)

@@ -1,6 +1,7 @@
 """Tests for the hot-path refactor: the shared overlap helper, the
-reference-aware RS decoder (against the full decoder, on four codes)
-and the hoisted Gilbert-Elliott and i.i.d. draws.
+reference-aware RS decoder (against the full decoder, on four codes),
+the block-drawn Gilbert-Elliott and i.i.d. symbol errors (against
+per-symbol loops) and the decision ``Link.survives`` makes from them.
 
 The event kernel's ordering contract is a property test in
 ``tests/test_sim_kernel.py``; whole experiment outputs are pinned by
@@ -9,11 +10,18 @@ The event kernel's ordering contract is a property test in
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.phy.errors import GilbertElliottModel, IndependentSymbolErrors
+from repro.phy.channel import Link
+from repro.phy.errors import (
+    ErrorModel,
+    GilbertElliottModel,
+    IndependentSymbolErrors,
+)
 from repro.phy.intervals import spans_overlap
 from repro.phy.rs import RS_64_48, ReedSolomon, RSDecodeFailure
 
@@ -222,3 +230,169 @@ class TestIndependentDrawOrder:
                     expected[index] ^= rng_b.randrange(1, 256)
             assert out == expected
             assert rng_a.getstate() == rng_b.getstate()
+
+
+def iid_loop(p, n, rng):
+    """The per-symbol i.i.d. loop, as sparse ``(index, value)`` errors."""
+    found = []
+    if p == 0.0:
+        return found
+    for index in range(n):
+        if rng.random() < p:
+            found.append((index, rng.randrange(1, 256)))
+    return found
+
+
+def ge_loop(model, n, rng):
+    """The per-symbol Gilbert-Elliott loop: ``_step``, an error draw at
+    the new state's probability, a value draw on an error."""
+    found = []
+    for index in range(n):
+        model._step(rng)
+        p = model.p_bad if model.state == model.BAD else model.p_good
+        if rng.random() < p:
+            found.append((index, rng.randrange(1, 256)))
+    return found
+
+
+def _nudged(value, ulps):
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(2.0, ulps))
+    return min(max(value, 0.0), 1.0)
+
+
+#: 0, 1, k/256 and k/65536 (the screens' byte and 16-bit limits) with
+#: one ulp either way, and anything in between.
+probabilities = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.builds(lambda k, ulps: _nudged(k / 256, ulps),
+              st.integers(0, 256), st.integers(-1, 1)),
+    st.builds(lambda k, ulps: _nudged(k / 65536, ulps),
+              st.integers(0, 65536), st.integers(-1, 1)),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 0.02))
+lengths = st.sampled_from([0, 1, 64, 255])
+seeds = st.integers(0, 2**32 - 1)
+CALLS = 30
+
+
+class TestSymbolErrorKernel:
+    """``errors()`` makes the per-symbol loops' draws from one block of
+    words: over many calls on one stream the errors, the GE state and
+    the stream state must equal the loops' after every call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(probabilities, lengths, seeds)
+    def test_iid_matches_loop(self, p, n, seed):
+        model = IndependentSymbolErrors(p)
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(CALLS):
+            assert model.errors(n, rng) == iid_loop(p, n, reference)
+            assert rng.getstate() == reference.getstate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(probabilities, probabilities, probabilities,
+                     probabilities),
+           st.sampled_from([GilbertElliottModel.GOOD,
+                            GilbertElliottModel.BAD]),
+           lengths, seeds)
+    def test_gilbert_elliott_matches_loop(self, params, state, n, seed):
+        model = GilbertElliottModel(*params)
+        reference = GilbertElliottModel(*params)
+        model.state = reference.state = state
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        for _ in range(CALLS):
+            assert (model.errors(n, rng)
+                    == ge_loop(reference, n, reference_rng))
+            assert model.state == reference.state
+            assert rng.getstate() == reference_rng.getstate()
+
+    def test_corrupt_xors_the_errors_in(self):
+        word = bytes(range(100, 164))
+        model = GilbertElliottModel(p_good=0.05)
+        found = model.errors(64, random.Random(3))
+        assert found
+        model.state = model.GOOD
+        expected = list(word)
+        for index, value in found:
+            expected[index] ^= value
+        assert model.corrupt(word, random.Random(3)) == expected
+
+    def test_zero_rate_draws_nothing(self):
+        rng = random.Random(4)
+        state = rng.getstate()
+        assert IndependentSymbolErrors(0.0).errors(64, rng) == []
+        assert rng.getstate() == state
+
+
+class Scripted(ErrorModel):
+    """Returns prepared error lists, one per codeword, in order."""
+
+    def __init__(self, *patterns):
+        self.patterns = list(patterns)
+
+    def errors(self, n, rng):
+        return self.patterns.pop(0)
+
+
+class TestSurvivesDecision:
+    """``Link.survives`` decides a probe from its error count and runs
+    the decoder only beyond t errors, with ``decode_reference``'s
+    outcome on the all-zero codeword."""
+
+    codec = RS_64_48
+
+    def _link(self, *patterns):
+        return Link(Scripted(*patterns), random.Random(0),
+                    codec=ReedSolomon(self.codec.n, self.codec.k))
+
+    def test_at_most_t_errors_survive_without_a_decode(self,
+                                                       monkeypatch):
+        t = self.codec.t
+        spread = [(index * 7, 0xFF) for index in range(t)]
+        link = self._link(spread, [(0, 1)], [])
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("decoded a correctable probe")
+
+        monkeypatch.setattr(link.codec, "decode", no_decode)
+        assert link.survives(3)
+        assert (link.codewords_sent, link.codewords_lost) == (3, 0)
+
+    def test_a_miscorrection_survives(self):
+        # Another codeword's symbols plus t errors: the decoder returns
+        # that codeword's message, which still counts as delivered.
+        rng = random.Random(21)
+        other = self.codec.encode(bytes(rng.randrange(256)
+                                        for _ in range(self.codec.k)))
+        pattern = bytearray(other)
+        for index in rng.sample(range(self.codec.n), self.codec.t):
+            pattern[index] ^= rng.randrange(1, 256)
+        found = [(index, value) for index, value in enumerate(pattern)
+                 if value]
+        assert len(found) > self.codec.t
+        assert self.codec.decode_reference(
+            bytes(pattern), bytes(self.codec.n)) == other[:self.codec.k]
+        link = self._link(found)
+        assert link.survives(1)
+        assert link.codewords_lost == 0
+
+    def test_undecodable_errors_lose_the_transmission(self):
+        t = self.codec.t
+        rng = random.Random(5)
+        while True:
+            found = sorted((index, rng.randrange(1, 256))
+                           for index in rng.sample(range(self.codec.n),
+                                                   t + 1))
+            pattern = bytearray(self.codec.n)
+            for index, value in found:
+                pattern[index] = value
+            if _outcome(self.codec.decode, bytes(pattern))[1]:
+                break
+        second = [(0, 1)]
+        link = self._link(found, second)
+        assert not link.survives(2)
+        assert (link.codewords_sent, link.codewords_lost) == (2, 2)
+        # The second codeword is drawn only if the first survives.
+        assert link.error_model.patterns == [second]
+
