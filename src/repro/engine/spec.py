@@ -200,8 +200,7 @@ def mean_of_summaries(summaries: Sequence[Dict[str, float]]
                       ) -> Dict[str, float]:
     """Field-wise mean over the keys *common to all* summaries.
 
-    Keys missing from some summaries (e.g. a ``metric`` recorded for
-    only part of the seeds) are dropped rather than raising.
+    Keys missing from some summaries are dropped rather than raising.
     """
     if not summaries:
         return {}

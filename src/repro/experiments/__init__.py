@@ -29,7 +29,6 @@ Each module exposes ``run(quick=False, seeds=...) -> ExperimentResult``;
 from repro.experiments.runner import (
     ExperimentResult,
     PAPER_LOADS,
-    average_summaries,
     sweep_cell_config,
     sweep_loads,
     sweep_spec,
@@ -38,7 +37,6 @@ from repro.experiments.runner import (
 __all__ = [
     "ExperimentResult",
     "PAPER_LOADS",
-    "average_summaries",
     "sweep_cell_config",
     "sweep_loads",
     "sweep_spec",

@@ -8,13 +8,11 @@ pair becomes one engine point, so sweeps run serial or parallel
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.cell import run_cell
 from repro.core.config import CellConfig
 from repro.engine import RunSpec, cell_point, execute, group_means
-from repro.engine.spec import Point, mean_of_summaries
-from repro.metrics import CellStats
+from repro.engine.spec import Point
 
 #: The load indices the paper sweeps (Section 5).
 PAPER_LOADS = (0.3, 0.5, 0.8, 0.9, 1.0, 1.1)
@@ -81,10 +79,6 @@ def _fmt(cell: Any) -> str:
     return str(cell)
 
 
-def run_config(config: CellConfig) -> CellStats:
-    return run_cell(config)
-
-
 def cycles_for(quick: bool) -> "tuple[int, int]":
     """(cycles, warmup) for quick (bench) vs full experiment runs."""
     return (140, 25) if quick else (400, 40)
@@ -101,19 +95,9 @@ def sweep_cell_config(load: float, seed: int, quick: bool = False,
     return CellConfig(load_index=load, seed=seed, **kwargs)
 
 
-def _cell_summary_with_metric(payload) -> Dict[str, float]:
-    """Task: cell summary plus a caller-supplied derived metric."""
-    config, metric = payload
-    stats = run_cell(config)
-    summary = stats.summary()
-    summary["metric"] = metric(stats)
-    return summary
-
-
 def sweep_spec(loads: Sequence[float] = PAPER_LOADS,
                seeds: Sequence[int] = (1, 2, 3),
                quick: bool = False,
-               metric: Optional[Callable[[CellStats], float]] = None,
                **config_overrides) -> RunSpec:
     """The declarative spec behind :func:`sweep_loads`."""
     points = []
@@ -121,12 +105,7 @@ def sweep_spec(loads: Sequence[float] = PAPER_LOADS,
         for seed in seeds:
             config = sweep_cell_config(load, seed, quick=quick,
                                        **config_overrides)
-            if metric is None:
-                points.append(cell_point(config, load=load, seed=seed))
-            else:
-                points.append(Point(fn=_cell_summary_with_metric,
-                                    config=(config, metric),
-                                    label=dict(load=load, seed=seed)))
+            points.append(cell_point(config, load=load, seed=seed))
     return RunSpec(
         name="sweep_loads",
         points=tuple(points),
@@ -171,7 +150,6 @@ def observed_sweep_spec(loads: Sequence[float] = PAPER_LOADS,
 def sweep_loads(loads: Sequence[float] = PAPER_LOADS,
                 seeds: Sequence[int] = (1, 2, 3),
                 quick: bool = False,
-                metric: Optional[Callable[[CellStats], float]] = None,
                 jobs: Optional[int] = None,
                 cache: Any = None,
                 policy: Any = None,
@@ -179,26 +157,11 @@ def sweep_loads(loads: Sequence[float] = PAPER_LOADS,
     """Run the Section-5 scenario across load indices.
 
     Returns one dict per load with every headline metric averaged over
-    the seeds (plus ``load``); when ``metric`` is given its value is
-    added under the key ``"metric"``.  ``jobs`` selects the engine
-    executor; ``cache`` controls the on-disk result cache (a ``metric``
-    callable disables caching, since its code is not part of the cache
-    key -- and must be a module-level function to run with jobs > 1).
-    ``policy`` is an optional :class:`repro.engine.RunPolicy` with the
-    resilience knobs (timeouts, retries, fail-fast).
+    the seeds (plus ``load``).  ``jobs`` selects the engine executor;
+    ``cache`` controls the on-disk result cache.  ``policy`` is an
+    optional :class:`repro.engine.RunPolicy` with the resilience knobs
+    (timeouts, retries, fail-fast).
     """
     spec = sweep_spec(loads=loads, seeds=seeds, quick=quick,
-                      metric=metric, **config_overrides)
-    if metric is not None:
-        cache = False
+                      **config_overrides)
     return execute(spec, jobs=jobs, cache=cache, policy=policy).reduced
-
-
-def average_summaries(summaries: List[Dict[str, float]]) -> Dict[str, float]:
-    """Field-wise mean of several summary dicts.
-
-    Keys are intersected across the summaries, so a field present in
-    only some of them (e.g. ``metric`` set for part of the seeds) is
-    dropped instead of raising ``KeyError``.
-    """
-    return mean_of_summaries(summaries)

@@ -209,12 +209,6 @@ class CellStats:
             return 0.0
         return self.contention_slots_collided / engaged
 
-    def attempt_collision_probability(self) -> float:
-        """Alternative: P[a contention attempt collides]."""
-        if not self.contention_attempts:
-            return 0.0
-        return self.contention_attempts_collided / self.contention_attempts
-
     def mean_reservation_latency_cycles(self) -> float:
         """Fig. 10(b)/9(b)."""
         return self.reservation_latency_cycles.mean

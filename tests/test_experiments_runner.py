@@ -5,7 +5,6 @@ import pytest
 from repro.experiments.runner import (
     ExperimentResult,
     PAPER_LOADS,
-    average_summaries,
     cycles_for,
     sweep_loads,
 )
@@ -45,12 +44,6 @@ class TestExperimentResult:
 
 
 class TestHelpers:
-    def test_average_summaries(self):
-        merged = average_summaries([{"a": 1.0, "b": 2.0},
-                                    {"a": 3.0, "b": 4.0}])
-        assert merged == {"a": 2.0, "b": 3.0}
-        assert average_summaries([]) == {}
-
     def test_cycles_for(self):
         quick = cycles_for(True)
         full = cycles_for(False)
@@ -70,14 +63,6 @@ class TestSweep:
         assert points[0]["load"] == 0.3
         assert "utilization" in points[0]
         assert points[1]["utilization"] > points[0]["utilization"]
-
-    def test_sweep_custom_metric(self):
-        points = sweep_loads(loads=(0.5,), seeds=(1,), quick=True,
-                             metric=lambda stats: float(
-                                 stats.registrations_completed),
-                             num_data_users=4, num_gps_users=1,
-                             cycles=40, warmup_cycles=8)
-        assert points[0]["metric"] == 5.0
 
     def test_sweep_averages_over_seeds(self):
         single = sweep_loads(loads=(0.5,), seeds=(1,), quick=True,
